@@ -45,9 +45,9 @@ from repro.workloads import Scale, generate
 
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_backend.json"
 
-#: covers the batched path (none, nextline, tcp-8k) and every fallback
-#: reason the batch engines know (dbcp-2m observes the access stream,
-#: hybrid-8k gates L1 promotions).
+#: covers the batched path (none, nextline, tcp-8k) plus dbcp-2m and
+#: hybrid-8k: the numpy engine's two reference-loop fallbacks (access
+#: stream, gated L1 promotions), which native steps wholly in C.
 PARITY_PREFETCHERS = ("none", "nextline", "tcp-8k", "dbcp-2m", "hybrid-8k")
 
 CONTENDERS = ("numpy", "native")

@@ -1,20 +1,26 @@
-"""The compiled-epilogue backend (``--backend native``).
+"""The compiled backend (``--backend native``).
 
 :class:`NativeBackend` routes a run to :class:`~repro.backend.native.
-engine.NativeCore` — the numpy engine's batch path with the scalar
-epilogue compiled to C (:mod:`repro.backend.native._native`).  It
-degrades loudly-but-gracefully, in two tiers:
+engine.NativeCore`: the numpy engine's batch path with the scalar
+epilogue compiled to C (:mod:`repro.backend.native._native`), or, for
+the DBCP and the hybrid, the whole trace stepped in C.  Every
+``PREFETCHERS`` entry runs compiled.  The engine degrades loudly but
+gracefully, in two tiers:
 
-* configurations the batch model cannot represent (set-associative
-  L1D, access-stream prefetchers, gated L1 promotions, direct-mapped
-  L2) fall back to the reference interpreted loop — the same config-
-  level fallback the numpy backend takes;
+* configurations the C engine cannot represent fall back to the
+  reference interpreted loop: a set-associative L1D, a direct-mapped
+  L2, and access-stream observers or gated promotions other than the
+  exact :class:`~repro.prefetchers.dbcp.DeadBlockCorrelatingPrefetcher`
+  and :class:`~repro.core.hybrid.HybridTCP` (a subclass may override a
+  hook the C engine never calls);
 * when the ``_native`` extension cannot be imported or built (no C
   compiler, ``REPRO_NATIVE=0``, a failed compile), the run falls back
   to the numpy batch engine, so a pure-Python install keeps working
-  everywhere at numpy speed.
+  everywhere at numpy speed — except for the configurations the numpy
+  engine cannot model either (DBCP, the hybrid), which go to the
+  reference loop.
 
-Both fallbacks warn once per process and record the reason in
+Every fallback warns once per process and records the reason in
 ``last_engine_stats["fallback"]``, which the runner copies into
 ``SimResult.backend_fallback``.  Either way results are bit-identical
 to the python backend; fallbacks only cost speed, never correctness.
@@ -27,8 +33,9 @@ from typing import Optional, Sequence, Set
 
 from repro.backend.base import Backend
 from repro.backend.native import build
-from repro.backend.native.engine import NativeCore
-from repro.backend.vector import VectorCore, _fallback_reason
+from repro.backend.native.engine import NativeCore, _fallback_reason
+from repro.backend.vector import VectorCore
+from repro.backend.vector import _fallback_reason as _numpy_fallback_reason
 from repro.cpu.core import CoreParams, CoreResult, OutOfOrderCore
 from repro.engine.probes import Probe
 from repro.memory.hierarchy import MemoryHierarchy
@@ -53,7 +60,7 @@ def _warn_once(reason: str, target: str) -> None:
 
 
 class NativeBackend(Backend):
-    """Batch-stepping engine with a C-compiled scalar epilogue."""
+    """The compiled engine: batch path plus C epilogue, or whole-trace C."""
 
     name = "native"
 
@@ -62,8 +69,16 @@ class NativeBackend(Backend):
         #: engine accounting for the last run: NativeCore.engine_stats
         #: when the compiled path ran; the numpy engine's stats plus a
         #: ``fallback`` reason when the extension was unavailable; or
-        #: ``{"fallback": reason}`` for config-level fallbacks.
+        #: ``{"fallback": reason}`` for runs on the reference loop.
         self.last_engine_stats: dict = {}
+
+    def _reference(
+        self, reason, trace, hierarchy, params, warmup, probes
+    ) -> CoreResult:
+        _warn_once(reason, "python reference loop")
+        self.last_engine_stats = {"fallback": reason}
+        core = OutOfOrderCore(params)
+        return core.run(trace, hierarchy, warmup=warmup, probes=probes)
 
     def run(
         self,
@@ -75,12 +90,15 @@ class NativeBackend(Backend):
     ) -> CoreResult:
         reason = _fallback_reason(hierarchy)
         if reason is not None:
-            _warn_once(reason, "python reference loop")
-            self.last_engine_stats = {"fallback": reason}
-            core = OutOfOrderCore(params)
-            return core.run(trace, hierarchy, warmup=warmup, probes=probes)
+            return self._reference(reason, trace, hierarchy, params, warmup, probes)
         if build.load() is None:
             reason = f"native extension unavailable ({build.load_error()})"
+            numpy_reason = _numpy_fallback_reason(hierarchy)
+            if numpy_reason is not None:
+                return self._reference(
+                    f"{reason}; numpy cannot model {numpy_reason}",
+                    trace, hierarchy, params, warmup, probes,
+                )
             _warn_once(reason, "numpy batch engine")
             if self.vector_min is not None:
                 core = VectorCore(params, vector_min=self.vector_min)

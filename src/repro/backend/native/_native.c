@@ -21,6 +21,11 @@
  * Python.  Three callbacks reach back for the paths that must run
  * interpreted: instruction-fetch misses, generic (non-TCP) prefetcher
  * training, and L1 eviction events.
+ *
+ * DBCP and the hybrid TCP run whole spans through Engine.step and keep
+ * their state flat in C (SetTable, LiveMap, the pending-promotion
+ * plane); sync_out writes it to the Python objects and sync_in reloads
+ * it, at probe marks and at the end of the run.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -33,6 +38,31 @@ typedef struct {
     double t;
     long long b;
 } HeapItem;
+
+/* A prefetcher table of small LRU sets, flattened: way slots kept in
+ * recency order (slot 0 = LRU, slot len-1 = MRU), so a slot's position
+ * is its LRU rank and the slot order is the insertion order of the
+ * mirrored LRUSet dict.  Payloads are an integer (DBCP successor
+ * block) or a double (timekeeping live time). */
+typedef struct {
+    Py_ssize_t nsets, ways;
+    long long *key;
+    long long *ival;
+    double *fval;
+    int *len;
+    unsigned char *dirty; /* set changed since the last mirror to Python */
+    PyObject *sets;       /* list[LRUSet] mirrored at boundaries */
+} SetTable;
+
+/* Open-addressing int -> int map with insertion order (DBCP's live
+ * signatures).  seq == 0 marks an empty slot; seq orders entries the
+ * way the mirrored dict orders its keys. */
+typedef struct {
+    long long *keys, *vals;
+    unsigned long long *seqs;
+    Py_ssize_t cap, len;
+    unsigned long long next_seq;
+} LiveMap;
 
 typedef struct {
     PyObject_HEAD
@@ -101,11 +131,45 @@ typedef struct {
     HeapItem *heap;
     Py_ssize_t heap_len, heap_cap;
 
+    /* ---- shared L1 plane: the prefetched bit of each L1D line ---- */
+    Py_buffer l1pf_b;
+    unsigned char *l1pf;
+    Py_buffer pcs_b;
+    const unsigned long long *pcs;
+    int have_pcs;
+
+    /* ---- DBCP: signature table, live signatures, pending death ---- */
+    int dbcp;
+    PyObject *dbcp_obj;
+    SetTable dt;
+    int dt_shift;
+    unsigned long long sig_mask;
+    LiveMap live;
+    int pend_valid;
+    long long pend_sig;
+
+    /* ---- hybrid: pending promotions, dead-block history, prefetch bus */
+    int hybrid, into_l1;
+    long long l1_set_mask;
+    long long *pl_block;        /* per L1 set */
+    double *pl_ready;
+    unsigned long long *pl_seq; /* 0 = no pending promotion */
+    Py_ssize_t pl_count;
+    unsigned long long pl_next_seq;
+    double ttl;
+    SetTable dh;
+    double dead_factor, default_idle, min_idle;
+    PyObject *pb;               /* dedicated prefetch bus or NULL */
+    double pb_nf, pb_by, pb_qc;
+    long long pb_tr;
+
     /* ---- stat deltas (drained by take_stats) ---- */
     long long dc, ldc, stc, hc, ifc;
     long long l1m, l2a, l2h, l2m, pfo, useful, mgd, wb1, wb2;
     long long pfr, pfi, pfred, pfdq, pfdb, pfev;
     long long pfl, pfu, pfp, tl, tp, pu, pl, ph;
+    long long dead, pa, pd, dq, dv, de, l1p, l1ph;
+    long long cb_ifetch, cb_l1i, cb_observe, cb_evict;
     long long sc;
     Py_ssize_t poison_peak;
     long long epi_ns;
@@ -115,7 +179,8 @@ typedef struct {
 static PyObject *s_entries, *s_last_access, *s_prefetched, *s_fill_time,
     *s_dirty, *s_next_free, *s_busy_cycles, *s_queued_cycles, *s_transfers,
     *s_earliest, *s_full_stalls, *s_merges, *s_peak_occupancy,
-    *s_completions_attr, *s_accesses, *s_pf_inflight_attr;
+    *s_completions_attr, *s_accesses, *s_pf_inflight_attr, *s_pending_l1,
+    *s_live_signatures, *s_pending_death;
 
 /* ================= small helpers ================= */
 
@@ -336,6 +401,519 @@ memcomp_prefix_filter(EngineObject *e, double bound)
     return PyList_SetSlice(e->mem_comp, 0, k, NULL);
 }
 
+/* ================= flat prefetcher tables ================= */
+
+static int
+st_alloc(SetTable *t, Py_ssize_t nsets, Py_ssize_t ways, int float_vals)
+{
+    t->nsets = nsets;
+    t->ways = ways;
+    t->key = PyMem_Calloc(nsets * ways, sizeof(long long));
+    if (float_vals)
+        t->fval = PyMem_Calloc(nsets * ways, sizeof(double));
+    else
+        t->ival = PyMem_Calloc(nsets * ways, sizeof(long long));
+    t->len = PyMem_Calloc(nsets, sizeof(int));
+    t->dirty = PyMem_Calloc(nsets, 1);
+    if (t->key == NULL || (t->fval == NULL && t->ival == NULL) ||
+        t->len == NULL || t->dirty == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+static void
+st_free(SetTable *t)
+{
+    PyMem_Free(t->key);
+    PyMem_Free(t->ival);
+    PyMem_Free(t->fval);
+    PyMem_Free(t->len);
+    PyMem_Free(t->dirty);
+    Py_XDECREF(t->sets);
+}
+
+/* slot of `key` in set `set`, or -1 (LRUSet.peek: no reordering) */
+static inline Py_ssize_t
+st_find(const SetTable *t, Py_ssize_t set, long long key)
+{
+    const long long *k = t->key + set * t->ways;
+    int n = t->len[set];
+    for (int w = 0; w < n; w++) {
+        if (k[w] == key)
+            return w;
+    }
+    return -1;
+}
+
+/* move slot w of `set` to the MRU end (del + reinsert) */
+static inline void
+st_touch(SetTable *t, Py_ssize_t set, Py_ssize_t w)
+{
+    Py_ssize_t base = set * t->ways;
+    int last = t->len[set] - 1;
+    if (w == last)
+        return;
+    long long k = t->key[base + w];
+    Py_ssize_t tail = last - w;
+    memmove(t->key + base + w, t->key + base + w + 1, tail * sizeof(long long));
+    t->key[base + last] = k;
+    if (t->ival != NULL) {
+        long long v = t->ival[base + w];
+        memmove(t->ival + base + w, t->ival + base + w + 1,
+                tail * sizeof(long long));
+        t->ival[base + last] = v;
+    }
+    else {
+        double v = t->fval[base + w];
+        memmove(t->fval + base + w, t->fval + base + w + 1,
+                tail * sizeof(double));
+        t->fval[base + last] = v;
+    }
+}
+
+/* LRUSet.put: update-and-promote, else evict the LRU slot when full,
+ * then insert at MRU */
+static void
+st_put(SetTable *t, Py_ssize_t set, long long key, long long ival, double fval)
+{
+    Py_ssize_t base = set * t->ways;
+    Py_ssize_t w = st_find(t, set, key);
+    if (w >= 0)
+        st_touch(t, set, w);
+    else {
+        if (t->len[set] >= t->ways) {
+            st_touch(t, set, 0); /* LRU to the end, then overwrite */
+        }
+        else
+            t->len[set]++;
+    }
+    Py_ssize_t last = base + t->len[set] - 1;
+    t->key[last] = key;
+    if (t->ival != NULL)
+        t->ival[last] = ival;
+    else
+        t->fval[last] = fval;
+    t->dirty[set] = 1;
+}
+
+/* Python -> C: reload every set from the LRUSet dicts */
+static int
+st_load(SetTable *t)
+{
+    if (PyList_GET_SIZE(t->sets) != t->nsets) {
+        PyErr_SetString(PyExc_ValueError, "table set count changed");
+        return -1;
+    }
+    for (Py_ssize_t set = 0; set < t->nsets; set++) {
+        PyObject *entries =
+            PyObject_GetAttr(PyList_GET_ITEM(t->sets, set), s_entries);
+        if (entries == NULL)
+            return -1;
+        Py_ssize_t n = PyDict_GET_SIZE(entries);
+        if (n > t->ways) {
+            Py_DECREF(entries);
+            PyErr_Format(PyExc_ValueError,
+                         "table set %zd holds %zd entries, over its %zd ways",
+                         set, n, t->ways);
+            return -1;
+        }
+        Py_ssize_t base = set * t->ways, pos = 0, w = 0;
+        PyObject *k, *v;
+        while (PyDict_Next(entries, &pos, &k, &v)) {
+            long long kv = PyLong_AsLongLong(k);
+            if (kv == -1 && PyErr_Occurred()) {
+                Py_DECREF(entries);
+                return -1;
+            }
+            t->key[base + w] = kv;
+            if (t->ival != NULL) {
+                long long iv = PyLong_AsLongLong(v);
+                if (iv == -1 && PyErr_Occurred()) {
+                    Py_DECREF(entries);
+                    return -1;
+                }
+                t->ival[base + w] = iv;
+            }
+            else {
+                double fv = PyFloat_AsDouble(v);
+                if (fv == -1.0 && PyErr_Occurred()) {
+                    Py_DECREF(entries);
+                    return -1;
+                }
+                t->fval[base + w] = fv;
+            }
+            w++;
+        }
+        Py_DECREF(entries);
+        t->len[set] = (int)n;
+        t->dirty[set] = 0;
+    }
+    return 0;
+}
+
+/* C -> Python: rebuild the dict of every set changed since the last
+ * mirror, in recency order (LRU first, as LRUSet keeps it) */
+static int
+st_store(SetTable *t)
+{
+    for (Py_ssize_t set = 0; set < t->nsets; set++) {
+        if (!t->dirty[set])
+            continue;
+        PyObject *entries =
+            PyObject_GetAttr(PyList_GET_ITEM(t->sets, set), s_entries);
+        if (entries == NULL)
+            return -1;
+        PyDict_Clear(entries);
+        Py_ssize_t base = set * t->ways;
+        for (int w = 0; w < t->len[set]; w++) {
+            PyObject *k = PyLong_FromLongLong(t->key[base + w]);
+            PyObject *v = t->ival != NULL
+                              ? PyLong_FromLongLong(t->ival[base + w])
+                              : PyFloat_FromDouble(t->fval[base + w]);
+            int r = (k == NULL || v == NULL) ? -1
+                                             : PyDict_SetItem(entries, k, v);
+            Py_XDECREF(k);
+            Py_XDECREF(v);
+            if (r < 0) {
+                Py_DECREF(entries);
+                return -1;
+            }
+        }
+        Py_DECREF(entries);
+        t->dirty[set] = 0;
+    }
+    return 0;
+}
+
+static inline size_t
+lm_hash(long long k)
+{
+    unsigned long long h = (unsigned long long)k * 0x9E3779B97F4A7C15ULL;
+    return (size_t)(h ^ (h >> 29));
+}
+
+static int
+lm_alloc(LiveMap *m, Py_ssize_t cap)
+{
+    m->keys = PyMem_Calloc(cap, sizeof(long long));
+    m->vals = PyMem_Calloc(cap, sizeof(long long));
+    m->seqs = PyMem_Calloc(cap, sizeof(unsigned long long));
+    if (m->keys == NULL || m->vals == NULL || m->seqs == NULL) {
+        PyMem_Free(m->keys);
+        PyMem_Free(m->vals);
+        PyMem_Free(m->seqs);
+        m->keys = m->vals = NULL;
+        m->seqs = NULL;
+        PyErr_NoMemory();
+        return -1;
+    }
+    m->cap = cap;
+    m->len = 0;
+    return 0;
+}
+
+static void
+lm_free(LiveMap *m)
+{
+    PyMem_Free(m->keys);
+    PyMem_Free(m->vals);
+    PyMem_Free(m->seqs);
+}
+
+static void
+lm_clear(LiveMap *m)
+{
+    memset(m->seqs, 0, m->cap * sizeof(unsigned long long));
+    m->len = 0;
+    m->next_seq = 1;
+}
+
+static inline Py_ssize_t
+lm_find(const LiveMap *m, long long k)
+{
+    size_t mask = (size_t)m->cap - 1;
+    size_t i = lm_hash(k) & mask;
+    while (m->seqs[i]) {
+        if (m->keys[i] == k)
+            return (Py_ssize_t)i;
+        i = (i + 1) & mask;
+    }
+    return -1;
+}
+
+static void
+lm_insert_raw(LiveMap *m, long long k, long long v, unsigned long long seq)
+{
+    size_t mask = (size_t)m->cap - 1;
+    size_t i = lm_hash(k) & mask;
+    while (m->seqs[i])
+        i = (i + 1) & mask;
+    m->keys[i] = k;
+    m->vals[i] = v;
+    m->seqs[i] = seq;
+    m->len++;
+}
+
+/* d[k] = v: an existing key keeps its insertion position */
+static int
+lm_set(LiveMap *m, long long k, long long v)
+{
+    Py_ssize_t i = lm_find(m, k);
+    if (i >= 0) {
+        m->vals[i] = v;
+        return 0;
+    }
+    if ((m->len + 1) * 2 > m->cap) {
+        LiveMap old = *m;
+        if (lm_alloc(m, old.cap * 2) < 0) {
+            *m = old;
+            return -1;
+        }
+        m->next_seq = old.next_seq;
+        for (Py_ssize_t j = 0; j < old.cap; j++) {
+            if (old.seqs[j])
+                lm_insert_raw(m, old.keys[j], old.vals[j], old.seqs[j]);
+        }
+        lm_free(&old);
+    }
+    lm_insert_raw(m, k, v, m->next_seq++);
+    return 0;
+}
+
+/* d.pop(k): backward-shift deletion keeps every probe chain intact */
+static int
+lm_pop(LiveMap *m, long long k, long long *out)
+{
+    Py_ssize_t found = lm_find(m, k);
+    if (found < 0)
+        return 0;
+    *out = m->vals[found];
+    size_t mask = (size_t)m->cap - 1;
+    size_t i = (size_t)found, j = i;
+    for (;;) {
+        j = (j + 1) & mask;
+        if (!m->seqs[j])
+            break;
+        size_t home = lm_hash(m->keys[j]) & mask;
+        if (((j - home) & mask) >= ((j - i) & mask)) {
+            m->keys[i] = m->keys[j];
+            m->vals[i] = m->vals[j];
+            m->seqs[i] = m->seqs[j];
+            i = j;
+        }
+    }
+    m->seqs[i] = 0;
+    m->len--;
+    return 1;
+}
+
+static int
+cmp_seq(const void *a, const void *b)
+{
+    unsigned long long x = ((const unsigned long long *)a)[0];
+    unsigned long long y = ((const unsigned long long *)b)[0];
+    return (x > y) - (x < y);
+}
+
+/* (seq, slot) pairs of the occupied slots, sorted by insertion order */
+static unsigned long long *
+sorted_slots(const unsigned long long *seqs, Py_ssize_t cap, Py_ssize_t count)
+{
+    unsigned long long *order =
+        PyMem_Malloc((count ? count : 1) * 2 * sizeof(unsigned long long));
+    if (order == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    Py_ssize_t q = 0;
+    for (Py_ssize_t j = 0; j < cap && q < count; j++) {
+        if (seqs[j]) {
+            order[2 * q] = seqs[j];
+            order[2 * q + 1] = (unsigned long long)j;
+            q++;
+        }
+    }
+    qsort(order, (size_t)q, 2 * sizeof(unsigned long long), cmp_seq);
+    return order;
+}
+
+/* ---- hybrid pending promotions (hierarchy._pending_l1) ---- */
+
+static inline void
+pend_set(EngineObject *e, long long s, long long block, double ready)
+{
+    if (!e->pl_seq[s]) {
+        e->pl_seq[s] = e->pl_next_seq++;
+        e->pl_count++;
+    }
+    e->pl_block[s] = block;
+    e->pl_ready[s] = ready;
+}
+
+static inline void
+pend_del(EngineObject *e, long long s)
+{
+    e->pl_seq[s] = 0;
+    e->pl_count--;
+}
+
+/* ---- mirrors of the Python-side prefetcher state ---- */
+
+static int
+tables_out(EngineObject *e)
+{
+    if (e->dbcp) {
+        if (st_store(&e->dt) < 0)
+            return -1;
+        PyObject *live = PyObject_GetAttr(e->dbcp_obj, s_live_signatures);
+        if (live == NULL)
+            return -1;
+        PyDict_Clear(live);
+        unsigned long long *order =
+            sorted_slots(e->live.seqs, e->live.cap, e->live.len);
+        if (order == NULL) {
+            Py_DECREF(live);
+            return -1;
+        }
+        for (Py_ssize_t q = 0; q < e->live.len; q++) {
+            Py_ssize_t j = (Py_ssize_t)order[2 * q + 1];
+            PyObject *k = PyLong_FromLongLong(e->live.keys[j]);
+            PyObject *v = PyLong_FromLongLong(e->live.vals[j]);
+            int r = (k == NULL || v == NULL) ? -1 : PyDict_SetItem(live, k, v);
+            Py_XDECREF(k);
+            Py_XDECREF(v);
+            if (r < 0) {
+                PyMem_Free(order);
+                Py_DECREF(live);
+                return -1;
+            }
+        }
+        PyMem_Free(order);
+        Py_DECREF(live);
+        PyObject *pend = e->pend_valid ? PyLong_FromLongLong(e->pend_sig)
+                                       : (Py_INCREF(Py_None), Py_None);
+        if (pend == NULL)
+            return -1;
+        int r = PyObject_SetAttr(e->dbcp_obj, s_pending_death, pend);
+        Py_DECREF(pend);
+        if (r < 0)
+            return -1;
+    }
+    if (e->hybrid) {
+        if (st_store(&e->dh) < 0)
+            return -1;
+        PyObject *pending = PyObject_GetAttr(e->hierarchy, s_pending_l1);
+        if (pending == NULL)
+            return -1;
+        PyDict_Clear(pending);
+        Py_ssize_t n_sets = e->l1tag_b.len / (Py_ssize_t)sizeof(long long);
+        unsigned long long *order = sorted_slots(e->pl_seq, n_sets, e->pl_count);
+        if (order == NULL) {
+            Py_DECREF(pending);
+            return -1;
+        }
+        for (Py_ssize_t q = 0; q < e->pl_count; q++) {
+            Py_ssize_t s = (Py_ssize_t)order[2 * q + 1];
+            PyObject *k = PyLong_FromSsize_t(s);
+            PyObject *v = Py_BuildValue("(Ld)", e->pl_block[s], e->pl_ready[s]);
+            int r = (k == NULL || v == NULL) ? -1
+                                             : PyDict_SetItem(pending, k, v);
+            Py_XDECREF(k);
+            Py_XDECREF(v);
+            if (r < 0) {
+                PyMem_Free(order);
+                Py_DECREF(pending);
+                return -1;
+            }
+        }
+        PyMem_Free(order);
+        Py_DECREF(pending);
+    }
+    return 0;
+}
+
+static int
+tables_in(EngineObject *e)
+{
+    if (e->dbcp) {
+        if (st_load(&e->dt) < 0)
+            return -1;
+        PyObject *live = PyObject_GetAttr(e->dbcp_obj, s_live_signatures);
+        if (live == NULL)
+            return -1;
+        lm_clear(&e->live);
+        PyObject *k, *v;
+        Py_ssize_t pos = 0;
+        while (PyDict_Next(live, &pos, &k, &v)) {
+            long long kv = PyLong_AsLongLong(k);
+            long long vv = PyLong_AsLongLong(v);
+            if (((kv == -1 || vv == -1) && PyErr_Occurred()) ||
+                lm_set(&e->live, kv, vv) < 0) {
+                Py_DECREF(live);
+                return -1;
+            }
+        }
+        Py_DECREF(live);
+        PyObject *pend = PyObject_GetAttr(e->dbcp_obj, s_pending_death);
+        if (pend == NULL)
+            return -1;
+        e->pend_valid = pend != Py_None;
+        if (e->pend_valid) {
+            e->pend_sig = PyLong_AsLongLong(pend);
+            if (e->pend_sig == -1 && PyErr_Occurred()) {
+                Py_DECREF(pend);
+                return -1;
+            }
+        }
+        Py_DECREF(pend);
+    }
+    if (e->hybrid) {
+        if (st_load(&e->dh) < 0)
+            return -1;
+        PyObject *pending = PyObject_GetAttr(e->hierarchy, s_pending_l1);
+        if (pending == NULL)
+            return -1;
+        Py_ssize_t n_sets = e->l1tag_b.len / (Py_ssize_t)sizeof(long long);
+        memset(e->pl_seq, 0, n_sets * sizeof(unsigned long long));
+        e->pl_count = 0;
+        e->pl_next_seq = 1;
+        PyObject *k, *v;
+        Py_ssize_t pos = 0;
+        while (PyDict_Next(pending, &pos, &k, &v)) {
+            long long s = PyLong_AsLongLong(k);
+            if (s == -1 && PyErr_Occurred()) {
+                Py_DECREF(pending);
+                return -1;
+            }
+            if (!PyTuple_Check(v) || PyTuple_GET_SIZE(v) != 2) {
+                Py_DECREF(pending);
+                PyErr_SetString(PyExc_TypeError,
+                                "pending promotion must be a (block, ready) "
+                                "tuple");
+                return -1;
+            }
+            long long block = PyLong_AsLongLong(PyTuple_GET_ITEM(v, 0));
+            double ready = PyFloat_AsDouble(PyTuple_GET_ITEM(v, 1));
+            if (PyErr_Occurred()) {
+                Py_DECREF(pending);
+                return -1;
+            }
+            if (s < 0 || s >= n_sets) {
+                Py_DECREF(pending);
+                PyErr_Format(PyExc_ValueError,
+                             "pending promotion for L1 set %lld out of range",
+                             s);
+                return -1;
+            }
+            pend_set(e, s, block, ready);
+        }
+        Py_DECREF(pending);
+    }
+    return 0;
+}
+
 /* ================= boundary sync ================= */
 
 static int
@@ -360,6 +938,12 @@ sync_out_internal(EngineObject *e)
         set_attr_double(e->mdb, s_busy_cycles, e->md_by) < 0 ||
         set_attr_double(e->mdb, s_queued_cycles, e->md_qc) < 0 ||
         set_attr_ll(e->mdb, s_transfers, e->md_tr) < 0)
+        return -1;
+    if (e->pb != NULL &&
+        (set_attr_double(e->pb, s_next_free, e->pb_nf) < 0 ||
+         set_attr_double(e->pb, s_busy_cycles, e->pb_by) < 0 ||
+         set_attr_double(e->pb, s_queued_cycles, e->pb_qc) < 0 ||
+         set_attr_ll(e->pb, s_transfers, e->pb_tr) < 0))
         return -1;
     /* mshr._earliest = min(inflight.values(), default=inf) */
     double earliest = Py_HUGE_VAL;
@@ -405,6 +989,12 @@ sync_in_internal(EngineObject *e)
     e->md_by = attr_double(e->mdb, s_busy_cycles, &err);
     e->md_qc = attr_double(e->mdb, s_queued_cycles, &err);
     e->md_tr = attr_ll(e->mdb, s_transfers, &err);
+    if (e->pb != NULL) {
+        e->pb_nf = attr_double(e->pb, s_next_free, &err);
+        e->pb_by = attr_double(e->pb, s_busy_cycles, &err);
+        e->pb_qc = attr_double(e->pb, s_queued_cycles, &err);
+        e->pb_tr = attr_ll(e->pb, s_transfers, &err);
+    }
     e->msh_fs = attr_ll(e->mshr, s_full_stalls, &err);
     e->msh_mg = attr_ll(e->mshr, s_merges, &err);
     e->msh_pk = attr_ll(e->mshr, s_peak_occupancy, &err);
@@ -444,7 +1034,7 @@ sync_in_internal(EngineObject *e)
 /* ================= prefetch issue ================= */
 
 static int
-issue_pf_c(EngineObject *e, long long pb, double t)
+issue_pf_c(EngineObject *e, long long pb, double t, int into_l1)
 {
     e->pfr++;
     long long l2b = pb >> e->l2_shift;
@@ -462,6 +1052,14 @@ issue_pf_c(EngineObject *e, long long pb, double t)
     if (line != NULL) {
         e->pfred++;
         Py_DECREF(t2o);
+        if (into_l1) {
+            /* already in L2: only the L1 promotion remains useful */
+            int err = 0;
+            double ft = attr_double(line, s_fill_time, &err);
+            if (err)
+                return -1;
+            pend_set(e, pb & e->l1_set_mask, pb, ft > t ? ft : t);
+        }
         return 0;
     }
     /* order-preserving expiry filter, in place (identity-stable) */
@@ -626,11 +1224,249 @@ issue_pf_c(EngineObject *e, long long pb, double t)
         }
         Py_DECREF(victim);
     }
+    if (into_l1)
+        pend_set(e, pb & e->l1_set_mask, pb, done);
     return 0;
 }
 
 static int tcp_train(EngineObject *e, long long s, long long tag,
                      long long block, double v);
+
+/* ================= DBCP (access-stream correlation) ================= */
+
+/* DeadBlockCorrelatingPrefetcher.observe_access + the prefetch issue of
+ * its request */
+static int
+dbcp_access(EngineObject *e, long long block, unsigned long long pc, int hit,
+            double now)
+{
+    unsigned long long base = (unsigned long long)block;
+    if (hit) {
+        Py_ssize_t j = lm_find(&e->live, block);
+        if (j >= 0)
+            base = (unsigned long long)e->live.vals[j];
+    }
+    long long sig = (long long)((base + pc) & e->sig_mask);
+    if (lm_set(&e->live, block, sig) < 0)
+        return -1;
+    /* LRUSet.get: a probe hit promotes the entry to MRU */
+    SetTable *t = &e->dt;
+    Py_ssize_t set = sig & (t->nsets - 1);
+    Py_ssize_t w = st_find(t, set, sig >> e->dt_shift);
+    if (w < 0)
+        return 0;
+    st_touch(t, set, w);
+    t->dirty[set] = 1;
+    long long succ = t->ival[set * t->ways + t->len[set] - 1];
+    if (succ == block)
+        return 0;
+    e->dead++;
+    e->pfp++;
+    return issue_pf_c(e, succ, now + (double)e->pf_delay, 0);
+}
+
+/* observe_eviction: the victim's final signature awaits its successor */
+static void
+dbcp_evict(EngineObject *e, long long vblock)
+{
+    long long sig;
+    if (lm_pop(&e->live, vblock, &sig)) {
+        e->pend_valid = 1;
+        e->pend_sig = sig;
+    }
+}
+
+/* observe_miss: learn pending death signature -> this miss */
+static void
+dbcp_miss(EngineObject *e, long long block)
+{
+    e->pfl++;
+    if (e->pend_valid) {
+        SetTable *t = &e->dt;
+        st_put(t, e->pend_sig & (t->nsets - 1), e->pend_sig >> e->dt_shift,
+               block, 0.0);
+        e->pend_valid = 0;
+        e->pfu++;
+    }
+}
+
+/* ================= hybrid (timekeeping gate, L1 promotion) ========== */
+
+/* TimekeepingDeadBlockPredictor.observe_eviction */
+static void
+db_record(EngineObject *e, long long vblock, double fill_time,
+          double last_access)
+{
+    SetTable *t = &e->dh;
+    double live_time = last_access - fill_time;
+    if (!(live_time > 0.0))
+        live_time = 0.0; /* max(0.0, x) */
+    Py_ssize_t set = vblock & (t->nsets - 1);
+    Py_ssize_t w = st_find(t, set, vblock);
+    if (w >= 0)
+        live_time = (t->fval[set * t->ways + w] + live_time) / 2.0;
+    st_put(t, set, vblock, 0, live_time);
+    e->de++;
+}
+
+/* TimekeepingDeadBlockPredictor.is_dead */
+static int
+db_is_dead(EngineObject *e, long long block, double last_access, double now)
+{
+    e->dq++;
+    double idle = now - last_access;
+    if (idle < e->min_idle)
+        return 0;
+    SetTable *t = &e->dh;
+    Py_ssize_t set = block & (t->nsets - 1);
+    Py_ssize_t w = st_find(t, set, block);
+    int dead;
+    if (w < 0)
+        dead = idle > e->default_idle;
+    else {
+        double thr = t->fval[set * t->ways + w] * e->dead_factor;
+        dead = idle > (thr > e->min_idle ? thr : e->min_idle);
+    }
+    if (dead)
+        e->dv++;
+    return dead;
+}
+
+/* MemoryHierarchy._fill_l1 on the planes: refresh a resident line, else
+ * replace the single way, write back a dirty victim and report its
+ * eviction (in C for DBCP and the hybrid, else through Python). */
+static int
+fill_l1_c(EngineObject *e, long long s, long long tag, double now, int dirty,
+          int prefetched)
+{
+    long long vt = e->l1tag[s];
+    if (vt == tag) {
+        e->l1la[s] = now;
+        if (dirty)
+            e->l1dirty[s] = 1;
+        return 0;
+    }
+    int vd = e->l1dirty[s];
+    double old_ft = e->l1ft[s];
+    double old_la = e->l1la[s];
+    e->l1tag[s] = tag;
+    e->l1ft[s] = now;
+    e->l1la[s] = now;
+    e->l1dirty[s] = (unsigned char)dirty;
+    e->l1pf[s] = (unsigned char)prefetched;
+    if (vt < 0)
+        return 0;
+    if (vd) {
+        e->wb1++;
+        double st = now > e->d_nf ? now : e->d_nf;
+        e->d_nf = st + (double)e->l1_beats;
+        e->d_by += (double)e->l1_beats;
+        e->d_qc += st - now;
+        e->d_tr += 1;
+    }
+    long long vblock = (vt << e->l1_ib) | s;
+    if (e->dbcp)
+        dbcp_evict(e, vblock);
+    else if (e->hybrid)
+        db_record(e, vblock, old_ft, old_la);
+    else if (e->needs_evict) {
+        e->cb_evict++;
+        PyObject *r = PyObject_CallFunction(e->evict_cb, "LLddd", s, vt, now,
+                                            old_ft, old_la);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+    }
+    return 0;
+}
+
+/* MemoryHierarchy._try_promote for set s at time now */
+static int
+try_promote(EngineObject *e, long long s, double now)
+{
+    if (!e->pl_seq[s])
+        return 0;
+    long long block = e->pl_block[s];
+    double ready = e->pl_ready[s];
+    if (ready > now)
+        return 0;
+    if (now - ready > e->ttl) {
+        pend_del(e, s);
+        return 0;
+    }
+    long long l2b = block >> e->l2_shift;
+    long long i2 = l2b & e->l2_imask;
+    long long t2 = l2b >> e->l2_ibits;
+    PyObject *entries = PyList_GET_ITEM(e->l2_entries, i2); /* borrowed */
+    PyObject *t2o = PyLong_FromLongLong(t2);
+    if (t2o == NULL)
+        return -1;
+    PyObject *line = PyDict_GetItemWithError(entries, t2o);
+    if (line == NULL) {
+        Py_DECREF(t2o);
+        if (PyErr_Occurred())
+            return -1;
+        pend_del(e, s);
+        return 0;
+    }
+    long long tag = block >> e->l1_ib;
+    if (e->l1tag[s] == tag) {
+        Py_DECREF(t2o);
+        pend_del(e, s);
+        return 0;
+    }
+    if (e->l1tag[s] >= 0) {
+        /* l1_promotion_gate: the victim must be predicted dead */
+        long long vblock = (e->l1tag[s] << e->tht_ib) | s;
+        if (!db_is_dead(e, vblock, e->l1la[s], now)) {
+            e->pd++;
+            Py_DECREF(t2o);
+            return 0;
+        }
+        e->pa++;
+    }
+    /* the promotion reads the block out of L2: LRU promote, refresh its
+     * last access, consume the prefetch bit */
+    Py_INCREF(line);
+    int fail = PyDict_DelItem(entries, t2o) < 0 ||
+               PyDict_SetItem(entries, t2o, line) < 0 ||
+               set_attr_double(line, s_last_access, now) < 0;
+    Py_DECREF(t2o);
+    if (!fail) {
+        int is_pf = attr_true(line, s_prefetched);
+        if (is_pf < 0)
+            fail = 1;
+        else if (is_pf) {
+            if (PyObject_SetAttr(line, s_prefetched, Py_False) < 0)
+                fail = 1;
+            e->useful++;
+        }
+    }
+    Py_DECREF(line);
+    if (fail)
+        return -1;
+    double st, comp;
+    if (e->pb != NULL) {
+        st = now > e->pb_nf ? now : e->pb_nf;
+        e->pb_nf = st + (double)e->l1_beats;
+        e->pb_by += (double)e->l1_beats;
+        e->pb_qc += st - now;
+        e->pb_tr += 1;
+    }
+    else {
+        st = now > e->d_nf ? now : e->d_nf;
+        e->d_nf = st + (double)e->l1_beats;
+        e->d_by += (double)e->l1_beats;
+        e->d_qc += st - now;
+        e->d_tr += 1;
+    }
+    comp = st + (double)e->l1_beats;
+    if (fill_l1_c(e, s, tag, comp, 0, 1) < 0)
+        return -1;
+    e->l1p++;
+    pend_del(e, s);
+    return 0;
+}
 
 /* ================= the scalar epilogue ================= */
 
@@ -680,6 +1516,7 @@ Engine_step(EngineObject *e, PyObject *args)
                     goto fail;
                 if (res) {
                     e->ifc++;
+                    e->cb_l1i++;
                     PyObject *r = PyObject_CallFunction(
                         e->l1i_lookup, "LLOd", fb & e->l1i_mask,
                         fb >> e->l1i_bits, Py_False, nd);
@@ -692,6 +1529,7 @@ Engine_step(EngineObject *e, PyObject *args)
                      * component state synced around the call */
                     if (sync_out_internal(e) < 0)
                         goto fail;
+                    e->cb_ifetch++;
                     PyObject *r = PyObject_CallFunction(e->ifetch_cb, "dn",
                                                         nd, i);
                     if (r == NULL)
@@ -723,6 +1561,8 @@ Engine_step(EngineObject *e, PyObject *args)
         int load = e->load[i];
         long long tag = e->tags[i];
         double comp;
+        if (e->hybrid && e->pl_count && try_promote(e, s, v) < 0)
+            goto fail;
         if (e->l1tag[s] == tag) {
             /* inlined direct-mapped hit */
             if (load) {
@@ -746,6 +1586,16 @@ Engine_step(EngineObject *e, PyObject *args)
                 if (r < 0)
                     goto fail;
             }
+            if (e->hybrid && e->l1pf[s]) {
+                /* a hit on a promoted line trains the TCP as a virtual
+                 * miss */
+                e->l1pf[s] = 0;
+                e->l1ph++;
+                if (tcp_train(e, s, tag, e->blocks[i], v) < 0)
+                    goto fail;
+            }
+            if (e->dbcp && dbcp_access(e, e->blocks[i], e->pcs[i], 1, v) < 0)
+                goto fail;
         }
         else {
             /* ---- flattened demand miss ---- */
@@ -756,6 +1606,10 @@ Engine_step(EngineObject *e, PyObject *args)
                 e->stc++;
             e->l1m++;
             long long block = e->blocks[i];
+            if (e->dbcp && dbcp_access(e, block, e->pcs[i], 0, v) < 0)
+                goto fail;
+            if (e->hybrid && e->pl_seq[s] && e->pl_block[s] == block)
+                pend_del(e, s); /* the demand beat the promotion */
             PyObject *blocko = PyLong_FromLongLong(block);
             if (blocko == NULL)
                 goto fail;
@@ -1022,40 +1876,9 @@ Engine_step(EngineObject *e, PyObject *args)
                 if (sz > e->msh_pk)
                     e->msh_pk = sz;
                 /* L1 fill on the planes (+ victim writeback) */
-                long long vt = e->l1tag[s];
-                if (vt == tag) {
-                    e->l1la[s] = comp;
-                    if (!load)
-                        e->l1dirty[s] = 1;
-                }
-                else {
-                    int vd = e->l1dirty[s];
-                    double old_ft = e->l1ft[s];
-                    double old_la = e->l1la[s];
-                    e->l1tag[s] = tag;
-                    e->l1ft[s] = comp;
-                    e->l1la[s] = comp;
-                    e->l1dirty[s] = load ? 0 : 1;
-                    if (vt >= 0) {
-                        if (vd) {
-                            e->wb1++;
-                            st_ = comp > e->d_nf ? comp : e->d_nf;
-                            e->d_nf = st_ + (double)e->l1_beats;
-                            e->d_by += (double)e->l1_beats;
-                            e->d_qc += st_ - comp;
-                            e->d_tr += 1;
-                        }
-                        if (e->needs_evict) {
-                            PyObject *r = PyObject_CallFunction(
-                                e->evict_cb, "LLddd", s, vt, comp, old_ft,
-                                old_la);
-                            if (r == NULL) {
-                                Py_DECREF(blocko);
-                                goto fail;
-                            }
-                            Py_DECREF(r);
-                        }
-                    }
+                if (fill_l1_c(e, s, tag, comp, !load, 0) < 0) {
+                    Py_DECREF(blocko);
+                    goto fail;
                 }
                 if (PySet_GET_SIZE(e->poisoned)) {
                     PyObject *so = PyLong_FromLongLong(s);
@@ -1077,7 +1900,10 @@ Engine_step(EngineObject *e, PyObject *args)
                         goto fail;
                     }
                 }
+                else if (e->dbcp)
+                    dbcp_miss(e, block);
                 else if (e->has_prefetcher) {
+                    e->cb_observe++;
                     PyObject *reqs = PyObject_CallFunction(
                         e->observe_cb, "LLLnOd", s, tag, block, i,
                         load ? Py_False : Py_True, v);
@@ -1096,7 +1922,7 @@ Engine_step(EngineObject *e, PyObject *args)
                                 Py_DECREF(blocko);
                                 goto fail;
                             }
-                            if (issue_pf_c(e, pb, launch) < 0) {
+                            if (issue_pf_c(e, pb, launch, 0) < 0) {
                                 Py_DECREF(reqs);
                                 Py_DECREF(blocko);
                                 goto fail;
@@ -1279,7 +2105,7 @@ tcp_train(EngineObject *e, long long s, long long tag, long long block,
             if (pb == block)
                 continue;
             npred++;
-            if (issue_pf_c(e, pb, launch) < 0) {
+            if (issue_pf_c(e, pb, launch, e->into_l1) < 0) {
                 Py_DECREF(succ);
                 goto fail;
             }
@@ -1301,7 +2127,7 @@ fail:
 static PyObject *
 Engine_sync_out(EngineObject *e, PyObject *Py_UNUSED(ignored))
 {
-    if (sync_out_internal(e) < 0)
+    if (sync_out_internal(e) < 0 || tables_out(e) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1309,7 +2135,7 @@ Engine_sync_out(EngineObject *e, PyObject *Py_UNUSED(ignored))
 static PyObject *
 Engine_sync_in(EngineObject *e, PyObject *Py_UNUSED(ignored))
 {
-    if (sync_in_internal(e) < 0)
+    if (sync_in_internal(e) < 0 || tables_in(e) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1373,6 +2199,18 @@ Engine_take_stats(EngineObject *e, PyObject *Py_UNUSED(ignored))
     PUT("pu", e->pu);
     PUT("pl", e->pl);
     PUT("ph", e->ph);
+    PUT("dead", e->dead);
+    PUT("pa", e->pa);
+    PUT("pd", e->pd);
+    PUT("dq", e->dq);
+    PUT("dv", e->dv);
+    PUT("de", e->de);
+    PUT("l1p", e->l1p);
+    PUT("l1ph", e->l1ph);
+    PUT("cb_ifetch", e->cb_ifetch);
+    PUT("cb_l1i", e->cb_l1i);
+    PUT("cb_observe", e->cb_observe);
+    PUT("cb_evict", e->cb_evict);
     PUT("sc", e->sc);
     PUT("mshr_full_stalls", e->msh_fs);
     PUT("poisoned_peak", e->poison_peak);
@@ -1384,6 +2222,8 @@ Engine_take_stats(EngineObject *e, PyObject *Py_UNUSED(ignored))
     e->pfr = e->pfi = e->pfred = e->pfdq = e->pfdb = e->pfev = 0;
     e->pfl = e->pfu = e->pfp = e->tl = e->tp = 0;
     e->pu = e->pl = e->ph = 0;
+    e->dead = e->pa = e->pd = e->dq = e->dv = e->de = e->l1p = e->l1ph = 0;
+    e->cb_ifetch = e->cb_l1i = e->cb_observe = e->cb_evict = 0;
     e->sc = 0;
     return d;
 }
@@ -1496,6 +2336,8 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
     GETBUF("l1_ft", l1ft_b, 1, 8, l1ft, NULL);
     GETBUF("l1_dirty", l1dirty_b, 1, 1, l1dirty, NULL);
     GETBUF("tht_sums", thtsum_b, 1, 8, thtsum, &e->have_thtsum);
+    GETBUF("l1_pf", l1pf_b, 1, 1, l1pf, NULL);
+    GETBUF("pcs", pcs_b, 0, 8, pcs, &e->have_pcs);
 #undef GETBUF
     e->n = e->comp_b.len / (Py_ssize_t)sizeof(double);
 
@@ -1516,7 +2358,11 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
         get_obj(spec, "mdb", &e->mdb, 0) < 0 ||
         get_obj(spec, "mshr", &e->mshr, 0) < 0 ||
         get_obj(spec, "memory", &e->memory, 0) < 0 ||
-        get_obj(spec, "hierarchy", &e->hierarchy, 0) < 0)
+        get_obj(spec, "hierarchy", &e->hierarchy, 0) < 0 ||
+        get_obj(spec, "dbcp_obj", &e->dbcp_obj, 1) < 0 ||
+        get_obj(spec, "dbcp_sets", &e->dt.sets, 1) < 0 ||
+        get_obj(spec, "db_sets", &e->dh.sets, 1) < 0 ||
+        get_obj(spec, "pb", &e->pb, 1) < 0)
         return -1;
 
 #define GETLL(key, field)                                                \
@@ -1555,11 +2401,75 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
     GETLL("tcp_fast", tcp_fast);
     GETLL("has_prefetcher", has_prefetcher);
     GETLL("needs_evict", needs_evict);
+    GETLL("dbcp", dbcp);
+    GETLL("hybrid", hybrid);
+    GETLL("into_l1", into_l1);
+    GETLL("l1_set_mask", l1_set_mask);
 #undef GETLL
     if (get_f(spec, "ls_s", &e->ls_s) < 0 ||
         get_f(spec, "inv_cr", &e->inv_cr) < 0 ||
         get_f(spec, "pf_busy_thr", &e->pf_busy_thr) < 0)
         return -1;
+    if (e->l1pf_b.len != e->l1tag_b.len / (Py_ssize_t)sizeof(long long) ||
+        e->l1_set_mask != e->l1pf_b.len - 1) {
+        PyErr_SetString(PyExc_ValueError, "l1_pf plane size mismatch");
+        return -1;
+    }
+    if (e->dbcp) {
+        long long sets, ways, shift, sig_mask;
+        if (e->dbcp_obj == NULL || e->dt.sets == NULL || !e->have_pcs ||
+            !PyList_Check(e->dt.sets)) {
+            PyErr_SetString(PyExc_ValueError, "dbcp without its table state");
+            return -1;
+        }
+        if (get_ll(spec, "dbcp_ways", &ways) < 0 ||
+            get_ll(spec, "dbcp_shift", &shift) < 0 ||
+            get_ll(spec, "sig_mask", &sig_mask) < 0)
+            return -1;
+        sets = PyList_GET_SIZE(e->dt.sets);
+        if (e->pcs_b.len != e->n * (Py_ssize_t)sizeof(long long) ||
+            sets <= 0 || (sets & (sets - 1)) || ways <= 0) {
+            PyErr_SetString(PyExc_ValueError,
+                            "dbcp: pcs plane length or table geometry");
+            return -1;
+        }
+        e->dt_shift = (int)shift;
+        e->sig_mask = (unsigned long long)sig_mask;
+        if (st_alloc(&e->dt, sets, ways, 0) < 0 || lm_alloc(&e->live, 2048) < 0)
+            return -1;
+        lm_clear(&e->live);
+    }
+    if (e->hybrid) {
+        long long ways;
+        if (e->dh.sets == NULL || !PyList_Check(e->dh.sets) ||
+            !e->tcp_fast) {
+            PyErr_SetString(PyExc_ValueError,
+                            "hybrid without dead-block or TCP state");
+            return -1;
+        }
+        if (get_ll(spec, "db_ways", &ways) < 0 ||
+            get_f(spec, "ttl", &e->ttl) < 0 ||
+            get_f(spec, "dead_factor", &e->dead_factor) < 0 ||
+            get_f(spec, "default_idle", &e->default_idle) < 0 ||
+            get_f(spec, "min_idle", &e->min_idle) < 0)
+            return -1;
+        Py_ssize_t db_sets = PyList_GET_SIZE(e->dh.sets);
+        if (db_sets <= 0 || (db_sets & (db_sets - 1)) || ways <= 0) {
+            PyErr_SetString(PyExc_ValueError, "hybrid: history geometry");
+            return -1;
+        }
+        if (st_alloc(&e->dh, db_sets, ways, 1) < 0)
+            return -1;
+        Py_ssize_t n_sets = e->l1pf_b.len;
+        e->pl_block = PyMem_Calloc(n_sets, sizeof(long long));
+        e->pl_ready = PyMem_Calloc(n_sets, sizeof(double));
+        e->pl_seq = PyMem_Calloc(n_sets, sizeof(unsigned long long));
+        if (e->pl_block == NULL || e->pl_ready == NULL || e->pl_seq == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        e->pl_next_seq = 1;
+    }
     if (e->model_icache && !e->have_fb) {
         PyErr_SetString(PyExc_ValueError, "model_icache without fb plane");
         return -1;
@@ -1579,7 +2489,7 @@ Engine_dealloc(EngineObject *e)
         &e->idx_b, &e->instr_b, &e->blocks_b, &e->tags_b, &e->deps_b,
         &e->load_b, &e->incs_b, &e->l2i_b, &e->l2t_b, &e->fb_b,
         &e->comp_b, &e->cmt_b, &e->l1tag_b, &e->l1la_b, &e->l1ft_b,
-        &e->l1dirty_b, &e->thtsum_b,
+        &e->l1dirty_b, &e->thtsum_b, &e->l1pf_b, &e->pcs_b,
     };
     for (size_t q = 0; q < sizeof(views) / sizeof(views[0]); q++) {
         if (views[q]->obj != NULL)
@@ -1606,6 +2516,14 @@ Engine_dealloc(EngineObject *e)
     Py_XDECREF(e->ifetch_cb);
     Py_XDECREF(e->observe_cb);
     Py_XDECREF(e->evict_cb);
+    Py_XDECREF(e->dbcp_obj);
+    Py_XDECREF(e->pb);
+    st_free(&e->dt);
+    st_free(&e->dh);
+    lm_free(&e->live);
+    PyMem_Free(e->pl_block);
+    PyMem_Free(e->pl_ready);
+    PyMem_Free(e->pl_seq);
     PyMem_Free(e->heap);
     Py_TYPE(e)->tp_free((PyObject *)e);
 }
@@ -1615,9 +2533,11 @@ static PyMethodDef Engine_methods[] = {
      "step(i, limit, li, lc, nd, P, last_fb) -> (li, lc, nd, P, last_fb)\n"
      "Run the scalar epilogue for accesses [i, limit)."},
     {"sync_out", (PyCFunction)Engine_sync_out, METH_NOARGS,
-     "Write mirrored component scalars back to the live objects."},
+     "Write mirrored component scalars and the flat prefetcher tables\n"
+     "back to the live Python objects."},
     {"sync_in", (PyCFunction)Engine_sync_in, METH_NOARGS,
-     "Reload mirrored component scalars and rebuild the MSHR heap."},
+     "Reload mirrored component scalars and the flat prefetcher tables\n"
+     "from the live Python objects; rebuild the MSHR heap."},
     {"set_callbacks", (PyCFunction)Engine_set_callbacks, METH_VARARGS,
      "set_callbacks(ifetch_cb, observe_cb, evict_cb)"},
     {"take_stats", (PyCFunction)Engine_take_stats, METH_NOARGS,
@@ -1669,6 +2589,9 @@ PyInit__native(void)
     INTERN(s_completions_attr, "_completions");
     INTERN(s_accesses, "accesses");
     INTERN(s_pf_inflight_attr, "_pf_inflight");
+    INTERN(s_pending_l1, "_pending_l1");
+    INTERN(s_live_signatures, "_live_signatures");
+    INTERN(s_pending_death, "_pending_death_signature");
 #undef INTERN
     if (PyType_Ready(&EngineType) < 0)
         return NULL;
@@ -1681,7 +2604,7 @@ PyInit__native(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 1) < 0) {
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 2) < 0) {
         Py_DECREF(m);
         return NULL;
     }

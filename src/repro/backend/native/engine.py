@@ -11,15 +11,33 @@ running-sum history, PHT truncated-add indexing, L2 set probe/fill/
 LRU, prefetch issue) directly on the live Python containers, with the
 trace planes, L1D state, and completion/commit timelines shared as
 numpy buffers.  The C code performs the same IEEE double operations in
-the same order as the reference loop, so results stay bit-identical;
-the only Python re-entries are instruction-fetch misses, generic
-(non-TCP) prefetcher hooks, and L1 eviction events.
+the same order as the reference loop, so results stay bit-identical.
 
 Scalar stretches are handed to C as *ranges*: every batch cut or
 predicted-miss cluster becomes one ``Engine.step(i, limit, ...)``
 call, so the per-access cost of the epilogue drops from ~3-6 µs of
 CPython interpretation to the C state machine plus one call per
 stretch.
+
+**DBCP and the hybrid** act on every access, hits included (DBCP
+extends a signature and probes its table; the hybrid attempts pending
+promotions and trains on promotion hits), so their runs skip the batch
+path and step each whole span in C.  Their state is flat in C: DBCP's
+signature table (ways in recency order), its live-signature map and
+pending death signature; the hybrid's per-set pending promotions, the
+L1 prefetched-bit plane, the timekeeping live-time table and the
+dedicated prefetch bus.  The Python objects (the ``LRUSet`` tables,
+``_live_signatures``, ``hierarchy._pending_l1``, ``CacheLine.prefetched``
+and every counter) are written at each probe mark and at the end of
+the run (``sync_out``) and reloaded after the probes ran (``sync_in``),
+so probes and the sanitizer see, and may change, exactly the state the
+reference loop would hold.  Reloading the 2 MB DBCP table costs a few
+milliseconds per mark.
+
+Python re-entries left, counted by kind in ``engine_stats``
+(``callbacks_*``): instruction fetches that miss the L1I-resident set,
+L1I recency refreshes, and, for prefetchers other than the TCP fast
+path, DBCP and the hybrid, ``observe_miss`` and eviction hooks.
 """
 
 from __future__ import annotations
@@ -36,6 +54,7 @@ from repro.backend.vector.engine import (
     _engine_stats,
     _trace_planes,
 )
+from repro.core.hybrid import HybridTCP
 from repro.core.indexing import IndexFunction
 from repro.core.tcp import TagCorrelatingPrefetcher
 from repro.cpu.core import CoreParams, CoreResult
@@ -43,18 +62,58 @@ from repro.engine.events import EvictionEvent, MissEvent
 from repro.engine.probes import CoreMark, Probe, resolve_probes
 from repro.memory.cache import CacheLine
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.prefetchers.dbcp import DeadBlockCorrelatingPrefetcher
 from repro.util.bitops import index_geometry
 from repro.workloads.trace import Trace
 
 __all__ = ["NativeCore"]
 
 
-class NativeCore:
-    """Bit-exact batch-stepping core with a compiled scalar epilogue.
+def _native_dbcp(prefetcher: object) -> bool:
+    """The exact DBCP, whose signatures fit the C engine's 64-bit words."""
+    return (
+        type(prefetcher) is DeadBlockCorrelatingPrefetcher
+        and prefetcher.config.signature_bits < 64
+    )
 
-    Valid for the same configurations as ``VectorCore`` (direct-mapped
-    L1D, no access-stream observers, no L1 promotions, set-associative
-    L2); requires the ``_native`` extension to be importable (see
+
+def _native_hybrid(prefetcher: object) -> bool:
+    """The exact hybrid, whose TCP training takes the compiled fast path."""
+    return (
+        type(prefetcher) is HybridTCP
+        and prefetcher.pht.config.index_function is IndexFunction.TRUNCATED_ADD
+    )
+
+
+def _fallback_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
+    """Why this run cannot take the compiled engine (None = it can).
+
+    Access-stream observers and gated promotions run natively only for
+    the exact DBCP and hybrid classes; subclasses and custom observers
+    may override hooks the C engine does not call, so they stay on the
+    reference loop.
+    """
+    prefetcher = hierarchy.prefetcher
+    if hierarchy._l1_lines is None:
+        return "set-associative L1D"
+    if hierarchy._needs_access and not _native_dbcp(prefetcher):
+        return "prefetcher observes the access stream"
+    if hierarchy._promotions_enabled and not _native_hybrid(prefetcher):
+        return "gated L1 promotions"
+    if hierarchy.l2d._direct_mapped:
+        return "direct-mapped L2"
+    return None
+
+
+class NativeCore:
+    """Bit-exact core: batch path plus compiled epilogue, or whole-trace C.
+
+    Valid for a direct-mapped L1D and a set-associative L2, with any
+    prefetcher except access-stream observers and gated promotions
+    other than the exact DBCP and hybrid classes (see
+    :func:`_fallback_reason`).  The TCP variants and the non-TCP
+    prefetchers still train through a Python ``observe_miss`` callback
+    per miss.  Requires the ``_native`` extension to be importable (see
     :mod:`repro.backend.native.build`).
     """
 
@@ -85,18 +144,19 @@ class NativeCore:
             raise ValueError(f"warmup ({warmup}) must be < trace length ({n})")
         if n == 0:
             return CoreResult(0, 0.0, 0)
-        if hierarchy._l1_lines is None:
-            raise ValueError("NativeCore requires a direct-mapped L1D")
-        if hierarchy._needs_access or hierarchy._promotions_enabled:
+        reason = _fallback_reason(hierarchy)
+        if reason is not None:
             raise ValueError(
-                "NativeCore cannot model access-stream observers or L1 "
-                "promotions (use the python backend)"
+                f"NativeCore cannot model this configuration ({reason}); "
+                "use the python backend"
             )
-        if hierarchy.l2d._direct_mapped:
-            raise ValueError("NativeCore requires a set-associative L2")
         active_probes = resolve_probes(None, 2048, None, probes)
         stats = self.engine_stats = _engine_stats()
         stats["epilogue_ns"] = 0
+        # Python re-entries by kind: full instruction fetches, L1I
+        # recency refreshes, generic observe_miss hooks, eviction hooks.
+        for kind in ("ifetch", "l1i_lookup", "observe_miss", "evict"):
+            stats["callbacks_" + kind] = 0
 
         # ---- whole-trace planes (shared with the numpy backend) -----
         geometry = hierarchy.params.l1d
@@ -146,12 +206,14 @@ class NativeCore:
         la_arr = np.zeros(n_sets, dtype=np.float64)
         dirty_arr = np.zeros(n_sets, dtype=np.uint8)
         ft_arr = np.zeros(n_sets, dtype=np.float64)
+        pf_arr = np.zeros(n_sets, dtype=np.uint8)
         for s2, line in enumerate(l1_lines):
             if line is not None:
                 tag_arr[s2] = line.tag
                 la_arr[s2] = line.last_access
                 dirty_arr[s2] = line.dirty
                 ft_arr[s2] = line.fill_time
+                pf_arr[s2] = line.prefetched
         poisoned: set = set()
 
         l1i = hierarchy.l1i
@@ -171,7 +233,13 @@ class NativeCore:
         needs_evict = hierarchy._needs_evict
         observe_evict = prefetcher.observe_eviction if prefetcher else None
         observe_miss = prefetcher.observe_miss if prefetcher else None
-        tcp_fast = (
+        # DBCP and the hybrid act on every access, hits included, so
+        # their runs skip the batch path and step the whole trace in C.
+        dbcp = _native_dbcp(prefetcher)
+        hybrid = _native_hybrid(prefetcher)
+        pstats = prefetcher.stats if prefetcher else None
+        whole_trace = dbcp or hybrid
+        tcp_fast = hybrid or (
             type(prefetcher) is TagCorrelatingPrefetcher
             and prefetcher.pht.config.index_function is IndexFunction.TRUNCATED_ADD
             and not prefetcher.into_l1
@@ -179,7 +247,6 @@ class NativeCore:
         if tcp_fast:
             tht = prefetcher.tht
             pht = prefetcher.pht
-            pstats = prefetcher.stats
             tht_hist = tht._history
             tht_sums_arr = np.array(
                 [sum(r_) for r_ in tht_hist], dtype=np.int64
@@ -210,6 +277,37 @@ class NativeCore:
                 "pht_ways": 0,
                 "pht_targets": 0,
             }
+        spec_pf = {
+            "dbcp": int(dbcp),
+            "dbcp_obj": None,
+            "dbcp_sets": None,
+            "pcs": None,
+            "hybrid": int(hybrid),
+            "into_l1": int(hybrid and prefetcher.into_l1),
+            "db_sets": None,
+            "pb": hierarchy.prefetch_bus,
+        }
+        if dbcp:
+            dcfg = prefetcher.config
+            spec_pf.update({
+                "dbcp_obj": prefetcher,
+                "dbcp_sets": prefetcher._table,
+                "dbcp_ways": dcfg.ways,
+                "dbcp_shift": dcfg.sets.bit_length() - 1,
+                "sig_mask": prefetcher._sig_mask,
+                "pcs": np.ascontiguousarray(trace.pcs, dtype=np.uint64),
+            })
+        if hybrid:
+            deadblock = prefetcher.deadblock
+            bcfg = deadblock.config
+            spec_pf.update({
+                "db_sets": deadblock._history,
+                "db_ways": bcfg.ways,
+                "dead_factor": float(bcfg.dead_factor),
+                "default_idle": float(bcfg.default_idle_threshold),
+                "min_idle": float(bcfg.min_idle),
+                "ttl": float(hp.promotion_ttl),
+            })
 
         spec = {
             # trace planes
@@ -230,6 +328,7 @@ class NativeCore:
             "l1_la": la_arr,
             "l1_ft": ft_arr,
             "l1_dirty": dirty_arr,
+            "l1_pf": pf_arr,
             # live containers
             "msh_inf": mshr._inflight,
             "mem_comp": hierarchy.memory._completions,
@@ -264,6 +363,7 @@ class NativeCore:
             "l2_imask": hierarchy._l2_index_mask,
             "l2_ibits": hierarchy._l2_index_bits,
             "l1_ib": l1_ib,
+            "l1_set_mask": n_sets - 1,
             "l1i_mask": l1i_mask,
             "l1i_bits": l1i_bits,
             "pf_delay": hierarchy._pf_delay,
@@ -277,6 +377,7 @@ class NativeCore:
             "needs_evict": int(needs_evict),
         }
         spec.update(spec_tcp)
+        spec.update(spec_pf)
         eng = native.Engine(spec)
 
         ifetch = hierarchy.instruction_fetch
@@ -357,31 +458,48 @@ class NativeCore:
                 hier_stats.l1_hits += d["hits"]
             if d["ifetch"]:
                 hier_stats.ifetch_accesses += d["ifetch"]
-            if d["l1m"]:
-                hier_stats.l1_misses += d["l1m"]
-                hier_stats.l2_demand_accesses += d["l2a"]
-                hier_stats.l2_demand_hits += d["l2h"]
-                hier_stats.l2_demand_misses += d["l2m"]
-                hier_stats.prefetched_original += d["pfo"]
-                hier_stats.useful_prefetches += d["useful"]
-                hier_stats.mshr_merges += d["mgd"]
-                hier_stats.writebacks_l1 += d["wb1"]
-                hier_stats.writebacks_l2 += d["wb2"]
-                hier_stats.prefetches_requested += d["pfr"]
-                hier_stats.prefetches_issued += d["pfi"]
-                hier_stats.prefetch_redundant += d["pfred"]
-                hier_stats.prefetch_dropped_queue += d["pfdq"]
-                hier_stats.prefetch_dropped_busy += d["pfdb"]
-                hier_stats.prefetch_evicted_unused += d["pfev"]
-                if tcp_fast:
-                    pstats.lookups += d["pfl"]
-                    pstats.updates += d["pfu"]
-                    pstats.predictions += d["pfp"]
-                    tht.reads += d["tl"]
-                    tht.pushes += d["tp"]
-                    pht.updates += d["pu"]
-                    pht.lookups += d["pl"]
-                    pht.hits += d["ph"]
+            # Prefetches and promotions also happen on hits (DBCP's
+            # access stream, the hybrid's promotions), so every counter
+            # is flushed, not only after a miss.
+            hier_stats.l1_misses += d["l1m"]
+            hier_stats.l2_demand_accesses += d["l2a"]
+            hier_stats.l2_demand_hits += d["l2h"]
+            hier_stats.l2_demand_misses += d["l2m"]
+            hier_stats.prefetched_original += d["pfo"]
+            hier_stats.useful_prefetches += d["useful"]
+            hier_stats.mshr_merges += d["mgd"]
+            hier_stats.writebacks_l1 += d["wb1"]
+            hier_stats.writebacks_l2 += d["wb2"]
+            hier_stats.prefetches_requested += d["pfr"]
+            hier_stats.prefetches_issued += d["pfi"]
+            hier_stats.prefetch_redundant += d["pfred"]
+            hier_stats.prefetch_dropped_queue += d["pfdq"]
+            hier_stats.prefetch_dropped_busy += d["pfdb"]
+            hier_stats.prefetch_evicted_unused += d["pfev"]
+            hier_stats.l1_promotions += d["l1p"]
+            hier_stats.l1_promotion_hits += d["l1ph"]
+            if tcp_fast or dbcp:
+                pstats.lookups += d["pfl"]
+                pstats.updates += d["pfu"]
+                pstats.predictions += d["pfp"]
+            if tcp_fast:
+                tht.reads += d["tl"]
+                tht.pushes += d["tp"]
+                pht.updates += d["pu"]
+                pht.lookups += d["pl"]
+                pht.hits += d["ph"]
+            if dbcp:
+                prefetcher.dead_predictions += d["dead"]
+            if hybrid:
+                prefetcher.promotions_approved += d["pa"]
+                prefetcher.promotions_denied += d["pd"]
+                deadblock.queries += d["dq"]
+                deadblock.dead_verdicts += d["dv"]
+                deadblock.evictions_recorded += d["de"]
+            stats["callbacks_ifetch"] += d["cb_ifetch"]
+            stats["callbacks_l1i_lookup"] += d["cb_l1i"]
+            stats["callbacks_observe_miss"] += d["cb_observe"]
+            stats["callbacks_evict"] += d["cb_evict"]
             # The reference assigns this from the MSHR file counter on
             # every primary miss; mirroring at the flush is idempotent.
             hier_stats.mshr_full_stalls = d["mshr_full_stalls"]
@@ -395,19 +513,23 @@ class NativeCore:
             lal_ = la_arr.tolist()
             ftl_ = ft_arr.tolist()
             dl_ = dirty_arr.tolist()
+            pfl_ = pf_arr.tolist()
             for s2 in range(n_sets):
                 t2 = tl_[s2]
                 if t2 < 0:
                     continue
                 line = l1_lines[s2]
                 if line is None or line.tag != t2:
-                    line = CacheLine(t2, ftl_[s2], dirty=bool(dl_[s2]))
+                    line = CacheLine(
+                        t2, ftl_[s2], dirty=bool(dl_[s2]), prefetched=bool(pfl_[s2])
+                    )
                     line.last_access = lal_[s2]
                     l1_lines[s2] = line
                 else:
                     line.fill_time = ftl_[s2]
                     line.last_access = lal_[s2]
                     line.dirty = bool(dl_[s2])
+                    line.prefetched = bool(pfl_[s2])
 
         def reload_derived() -> None:
             # Mirrors VectorCore.load_shared's derived-cache rebuilds:
@@ -434,6 +556,9 @@ class NativeCore:
                 stop = next_mark
 
             # ================= span [i, stop) ========================
+            if whole_trace:
+                li, lc, nd, P, last_fb = eng.step(i, stop, li, lc, nd, P, last_fb)
+                i = stop
             while i < stop:
                 # ---- batch attempt (identical to VectorCore) ----
                 if i >= no_vec_until:

@@ -14,8 +14,9 @@ This module exercises the contract where it is most likely to break:
 * composition with the sanitizer (``REPRO_SANITIZE=full`` and injected
   state corruptions) — checking runs bit-identical to unchecked ones,
   corruption still caught under the batched engine;
-* the fallback path for configurations the batch model cannot
-  represent, and the single-slot plane cache across config switches.
+* the fallback path for configurations the batch model (numpy) or the
+  C engine (native) cannot represent, and the single-slot plane cache
+  across config switches.
 
 ``tests/test_backend_fuzz.py`` adds the randomized differential; the
 benchmark-side gate lives in ``benchmarks/test_backend_perf.py``.
@@ -39,9 +40,12 @@ from repro.backend import (
 from repro.backend import native as native_mod
 from repro.backend import vector as vector_mod
 from repro.backend.native import build as native_build
+from repro.core.hybrid import HybridTCP
 from repro.cpu.core import CoreParams, OutOfOrderCore
 from repro.engine.probes import ProgressProbe
 from repro.memory import MemoryHierarchy
+from repro.memory.address import CacheGeometry
+from repro.prefetchers.dbcp import DeadBlockCorrelatingPrefetcher
 from repro.sim import SimulationConfig, sanitizer as sanitizer_mod, simulate
 from repro.sim.resilience import InvariantViolation
 from repro.sim.runner import clear_cache
@@ -355,25 +359,126 @@ class TestFallbacks:
         assert len(relevant) == 1
 
 
+class _DBCPSubclass(DeadBlockCorrelatingPrefetcher):
+    """A subclass may override hooks the C engine never calls."""
+
+
+class _HybridSubclass(HybridTCP):
+    """A subclass may override the promotion gate."""
+
+
+def _native_fallback_machine(case):
+    """(config, machine) for a configuration the C engine cannot model."""
+    config = SimulationConfig.for_prefetcher("tcp-8k")
+    if case == "set-assoc-l1d":
+        config = config.with_hierarchy(l1d=CacheGeometry(32 * 1024, 2, 32))
+    elif case == "direct-mapped-l2":
+        config = config.with_hierarchy(l2=CacheGeometry(1024 * 1024, 1, 64))
+    elif case == "hybrid-subclass":
+        config = SimulationConfig.for_prefetcher("hybrid-8k")
+    machine = MemoryHierarchy(config.hierarchy)
+    if case == "dbcp-subclass":
+        machine.attach_prefetcher(_DBCPSubclass())
+    elif case == "hybrid-subclass":
+        base = config.build_prefetcher()
+        machine.attach_prefetcher(_HybridSubclass(base.config))
+    else:
+        machine.attach_prefetcher(config.build_prefetcher())
+    return config, machine
+
+
+#: configurations the C engine still sends to the reference loop.
+NATIVE_FALLBACKS = (
+    pytest.param("set-assoc-l1d", "set-associative L1D", id="set-assoc-l1d"),
+    pytest.param("direct-mapped-l2", "direct-mapped L2", id="direct-mapped-l2"),
+    pytest.param(
+        "dbcp-subclass", "prefetcher observes the access stream", id="dbcp-subclass"
+    ),
+    pytest.param("hybrid-subclass", "gated L1 promotions", id="hybrid-subclass"),
+)
+
+
 class TestNativeFallbacks:
     """The native backend's two-tier degradation: config-level
     fallbacks to the reference loop, extension-unavailable fallbacks
-    to the numpy engine — loud once, then silent, never wrong."""
+    to the numpy engine (or to the reference loop for what numpy cannot
+    model) — loud once, then silent, never wrong."""
 
-    @pytest.mark.parametrize("label,reason", (
-        ("dbcp-2m", "prefetcher observes the access stream"),
-        ("hybrid-8k", "gated L1 promotions"),
-    ))
-    def test_config_fallback_reason_reported(self, label, reason, monkeypatch):
+    @pytest.mark.parametrize("case,reason", NATIVE_FALLBACKS)
+    def test_config_fallback_reason_reported(self, case, reason, monkeypatch):
+        monkeypatch.setattr(native_mod, "_WARNED_FALLBACKS", set())
+        trace = generate("swim", Scale.QUICK)
+        config, machine = _native_fallback_machine(case)
+        backend = NativeBackend()
+        with pytest.warns(RuntimeWarning, match=reason):
+            result = backend.run(trace, machine, config.core)
+        assert backend.last_engine_stats == {"fallback": reason}
+        ref_config, ref_machine = _native_fallback_machine(case)
+        ref = get_backend("python").run(trace, ref_machine, ref_config.core)
+        assert result == ref
+        assert machine.stats == ref_machine.stats
+
+    @pytest.mark.parametrize("label", ("dbcp-2m", "hybrid-8k"))
+    def test_dbcp_and_hybrid_run_compiled(self, label, monkeypatch):
+        """The paper's two main comparators take the C engine: no
+        fallback, no warning, the whole trace stepped in C."""
         monkeypatch.setattr(native_mod, "_WARNED_FALLBACKS", set())
         trace = generate("swim", Scale.QUICK)
         config = SimulationConfig.for_prefetcher(label)
         machine = MemoryHierarchy(config.hierarchy)
         machine.attach_prefetcher(config.build_prefetcher())
         backend = NativeBackend()
-        with pytest.warns(RuntimeWarning, match=reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             backend.run(trace, machine, config.core)
-        assert backend.last_engine_stats == {"fallback": reason}
+        stats = backend.last_engine_stats
+        assert "fallback" not in stats
+        assert stats["scalar_accesses"] == len(trace)
+        assert stats["batched_accesses"] == 0
+        # DBCP and the hybrid train, evict and predict in C: the only
+        # Python re-entries left are on the instruction-fetch path.
+        assert stats["callbacks_observe_miss"] == 0
+        assert stats["callbacks_evict"] == 0
+
+    @pytest.mark.parametrize("label,numpy_reason", (
+        ("dbcp-2m", "prefetcher observes the access stream"),
+        ("hybrid-8k", "gated L1 promotions"),
+    ))
+    def test_unavailable_extension_never_hands_dbcp_or_hybrid_to_numpy(
+        self, label, numpy_reason, monkeypatch
+    ):
+        """Without the extension, what the numpy engine cannot model
+        lands on the reference loop — with the reason recorded and one
+        warning — rather than on ``VectorCore``."""
+        monkeypatch.setenv(native_build.NATIVE_ENV, "0")
+        monkeypatch.setattr(native_build, "_MODULE", None)
+        monkeypatch.setattr(native_build, "_ERROR", None)
+        monkeypatch.setattr(native_build, "_TRIED", False)
+        monkeypatch.setattr(native_mod, "_WARNED_FALLBACKS", set())
+        try:
+            trace = generate("swim", Scale.QUICK)
+            config = SimulationConfig.for_prefetcher(label)
+            backend = NativeBackend()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for _ in range(2):
+                    machine = MemoryHierarchy(config.hierarchy)
+                    machine.attach_prefetcher(config.build_prefetcher())
+                    result = backend.run(trace, machine, config.core)
+            relevant = [w for w in caught if "native backend" in str(w.message)]
+            assert len(relevant) == 1
+            assert "python reference loop" in str(relevant[0].message)
+            reason = backend.last_engine_stats["fallback"]
+            assert backend.last_engine_stats == {"fallback": reason}
+            assert "disabled by REPRO_NATIVE=0" in reason
+            assert numpy_reason in reason
+            ref_machine = MemoryHierarchy(config.hierarchy)
+            ref_machine.attach_prefetcher(config.build_prefetcher())
+            ref = get_backend("python").run(trace, ref_machine, config.core)
+            assert result == ref
+            assert machine.stats == ref_machine.stats
+        finally:
+            native_build.reset()
 
     def test_unavailable_extension_falls_back_to_numpy(self, monkeypatch):
         """With the extension refused (``REPRO_NATIVE=0``) the native
@@ -438,19 +543,34 @@ class TestNativeFallbacks:
         ``SimResult.backend_fallback`` (provenance metadata only — it
         stays out of equality and asdict fingerprints)."""
         config = dataclasses.replace(
-            SimulationConfig.for_prefetcher("hybrid-8k"), backend="native"
+            SimulationConfig.for_prefetcher("tcp-8k").with_hierarchy(
+                l2=CacheGeometry(1024 * 1024, 1, 64)
+            ),
+            backend="native",
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             result = simulate("swim", config, Scale.QUICK, use_cache=False)
-        assert result.backend_fallback == "gated L1 promotions"
+        assert result.backend_fallback == "direct-mapped L2"
         payload = result.to_dict()
-        assert payload["backend_fallback"] == "gated L1 promotions"
+        assert payload["backend_fallback"] == "direct-mapped L2"
         from repro.sim.results import SimResult
 
         rebuilt = SimResult.from_dict(payload)
-        assert rebuilt.backend_fallback == "gated L1 promotions"
+        assert rebuilt.backend_fallback == "direct-mapped L2"
         assert rebuilt == result
+        # the paper's DBCP and hybrid comparators run compiled
+        if native_build.load() is not None:
+            for label in ("dbcp-2m", "hybrid-8k"):
+                compiled = simulate(
+                    "swim",
+                    dataclasses.replace(
+                        SimulationConfig.for_prefetcher(label), backend="native"
+                    ),
+                    Scale.QUICK,
+                    use_cache=False,
+                )
+                assert compiled.backend_fallback is None, label
         # a non-degraded run records nothing
         clean = simulate(
             "swim",

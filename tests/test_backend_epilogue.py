@@ -22,17 +22,22 @@ reference run, so a regression that silently bypasses the mechanism
 """
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.backend import get_backend
 from repro.backend.native import build as native_build
+from repro.core.hybrid import HybridTCP
 from repro.core.pht import PHTConfig
 from repro.core.tcp import TCPConfig, TagCorrelatingPrefetcher
 from repro.cpu.core import CoreParams
+from repro.deadblock import DeadBlockConfig
+from repro.engine.probes import Probe
 from repro.memory import MemoryHierarchy
 from repro.memory.hierarchy import HierarchyParams
+from repro.prefetchers.dbcp import DBCPConfig, DeadBlockCorrelatingPrefetcher
 from repro.sim.config import SimulationConfig
 from repro.workloads import Trace
 
@@ -251,3 +256,422 @@ class TestPHTTruncatedAdd:
             _tcp_prefetcher(2, pht_sets=2, pht_ways=2),
         )
         assert machine.prefetcher.stats.predictions > 0
+
+
+# ----------------------------------------------------------------------
+# DBCP and the hybrid: the access-stream and promotion state machines
+# ----------------------------------------------------------------------
+
+
+def _lines(machine):
+    return [
+        None if line is None
+        else (line.tag, line.dirty, line.prefetched, line.fill_time, line.last_access)
+        for line in machine._l1_lines
+    ]
+
+
+def _prefetcher_state(machine):
+    """Everything DBCP and the hybrid keep in Python, in dict order:
+    the native engine must leave the same objects behind."""
+    p = machine.prefetcher
+    state = {
+        "stats": vars(p.stats).copy(),
+        "l1": _lines(machine),
+        "pending_l1": list(machine._pending_l1.items()),
+    }
+    if isinstance(p, DeadBlockCorrelatingPrefetcher):
+        state["table"] = [list(lru.items()) for lru in p._table]
+        state["live"] = list(p._live_signatures.items())
+        state["pending_death"] = p._pending_death_signature
+        state["dead_predictions"] = p.dead_predictions
+    if isinstance(p, HybridTCP):
+        d = p.deadblock
+        state["history"] = [list(lru.items()) for lru in d._history]
+        state["gate"] = (
+            p.promotions_approved, p.promotions_denied,
+            d.queries, d.dead_verdicts, d.evictions_recorded,
+        )
+        state["tht"] = list(p.tht._history)
+        state["pht"] = [list(lru.items()) for lru in p.pht._sets]
+    return state
+
+
+class _Snapshots(Probe):
+    """Records the promotion plane and the prefetcher tables after every
+    access: a divergence the reference heals on the next access to the
+    same set still shows.  (A mark after every access also turns the
+    batch path off, so only the whole-trace engines are checked this
+    way; the epilogue tests above keep their batches.)"""
+
+    interval = 1
+
+    def __init__(self):
+        self.seen = []
+
+    def on_mark(self, mark, hierarchy):
+        p = hierarchy.prefetcher
+        snap = [list(hierarchy._pending_l1.items()), hierarchy.stats.l1_promotions]
+        if isinstance(p, DeadBlockCorrelatingPrefetcher):
+            snap += [
+                list(p._live_signatures.items()),
+                [list(lru.items()) for lru in p._table],
+                p._pending_death_signature,
+            ]
+        if isinstance(p, HybridTCP):
+            snap += [
+                [list(lru.items()) for lru in p.deadblock._history],
+                p.promotions_approved,
+                p.promotions_denied,
+            ]
+        self.seen.append(snap)
+
+
+def _state_parity(contender, trace, hierarchy_params, make_prefetcher,
+                  reference_machine=None, probes=None):
+    """Reference + contender, comparing results, counters, and the
+    prefetcher's Python-side state — after every access and at the end;
+    returns the reference machine."""
+    ref_machine = reference_machine or MemoryHierarchy(hierarchy_params)
+    if ref_machine.prefetcher is None:
+        ref_machine.attach_prefetcher(make_prefetcher())
+    machine = MemoryHierarchy(hierarchy_params)
+    machine.attach_prefetcher(make_prefetcher())
+    results, snapshots = [], []
+    for name, m in (("python", ref_machine), (contender, machine)):
+        snapshots.append(_Snapshots())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            results.append(get_backend(name).run(
+                trace, m, CoreParams(),
+                probes=(probes() if probes else []) + [snapshots[-1]],
+            ))
+    assert results[1] == results[0]
+    assert machine.stats == ref_machine.stats
+    assert snapshots[1].seen == snapshots[0].seen
+    assert _prefetcher_state(machine) == _prefetcher_state(ref_machine)
+    return ref_machine
+
+
+def _dbcp(sets=2, ways=2):
+    return lambda: DeadBlockCorrelatingPrefetcher(DBCPConfig(sets=sets, ways=ways))
+
+
+def _dbcp_ledger(prefetcher):
+    """Instrument a reference-run DBCP: count the events a test aims at."""
+    counts = Counter()
+    cfg = prefetcher.config
+    shift = cfg.sets.bit_length() - 1
+    probe, learn = prefetcher._probe, prefetcher._learn
+    observe_access, observe_miss = prefetcher.observe_access, prefetcher.observe_miss
+    last = [None]
+
+    def _probe(signature):
+        last[0] = probe(signature)
+        return last[0]
+
+    def _learn(signature, successor):
+        lru = prefetcher._table[signature & (cfg.sets - 1)]
+        if signature >> shift not in lru and len(lru) >= lru.ways:
+            counts["table-evict"] += 1
+        learn(signature, successor)
+
+    def _observe_access(access):
+        last[0] = None
+        requests = observe_access(access)
+        if last[0] is not None and last[0] == access.block:
+            counts["self-successor"] += 1
+        return requests
+
+    def _observe_miss(miss):
+        if prefetcher._pending_death_signature is not None:
+            counts["pending-consumed"] += 1
+        return observe_miss(miss)
+
+    prefetcher._probe = _probe
+    prefetcher._learn = _learn
+    prefetcher.observe_access = _observe_access
+    prefetcher.observe_miss = _observe_miss
+    return counts
+
+
+def _reference_dbcp(hp, make_prefetcher):
+    machine = MemoryHierarchy(hp)
+    prefetcher = make_prefetcher()
+    counts = _dbcp_ledger(prefetcher)
+    machine.attach_prefetcher(prefetcher)
+    return machine, counts
+
+
+def _set_trace(n_tags, n, sets=4, seed=0, pcs=16, gap=2):
+    """Random tags over a few L1 sets with a handful of PCs."""
+    rng = np.random.default_rng(seed)
+    tags = rng.integers(0, n_tags, n).astype(np.uint64)
+    index = rng.integers(0, sets, n).astype(np.uint64)
+    addrs = (tags << np.uint64(15)) | (index << np.uint64(5))
+    return _trace(
+        addrs,
+        pcs=rng.integers(0, pcs, n).astype(np.uint64) * np.uint64(4),
+        loads=rng.random(n) < 0.8,
+        gaps=np.full(n, gap, dtype=np.int64),
+    )
+
+
+class TestDBCPEdges:
+    """DBCP's flat signature table and live-signature map against the
+    LRUSet/dict reference, on a deliberately tiny table."""
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    @pytest.mark.parametrize("sets,ways", ((1, 2), (2, 2), (4, 1)))
+    def test_table_set_evicts_at_way_limit(self, contender, sets, ways):
+        _require(contender)
+        hp = HierarchyParams()
+        trace = _set_trace(n_tags=12, n=3000, seed=sets * 10 + ways)
+        ref, counts = _reference_dbcp(hp, _dbcp(sets, ways))
+        _state_parity(contender, trace, hp, _dbcp(sets, ways), ref)
+        assert counts["table-evict"] > 0
+        assert all(len(lru) == ways for lru in ref.prefetcher._table)
+        assert ref.prefetcher.dead_predictions > 0
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_successor_equal_to_block_is_suppressed(self, contender):
+        """Blocks A and B share an L1 set and A + pc_A == B + pc_B, so B's
+        miss signature is A's death signature, whose learned successor
+        is B itself: the probe promotes the entry but predicts nothing."""
+        a, b = (3 << 10) | 5, (9 << 10) | 5
+        k = 64
+        rounds = 40
+        blocks = np.array([a, b, b] * rounds, dtype=np.uint64)
+        pcs = np.array([b - a + k, k, 4] * rounds, dtype=np.uint64)
+        trace = _trace(blocks << np.uint64(5), pcs=pcs, gaps=np.full(len(blocks), 40))
+        hp = HierarchyParams()
+        _require(contender)
+        ref, counts = _reference_dbcp(hp, _dbcp(4, 2))
+        _state_parity(contender, trace, hp, _dbcp(4, 2), ref)
+        assert counts["self-successor"] > 0
+        assert ref.prefetcher.dead_predictions > 0
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_stale_live_signature_after_mshr_merge(self, contender):
+        """A miss that merges into an in-flight fetch records a signature
+        but fills nothing: the entry outlives the block's residency."""
+        _require(contender)
+        rng = np.random.default_rng(23)
+        n = 3000
+        sets = rng.integers(0, 4, n).astype(np.uint64)
+        tags = rng.integers(0, 2, n).astype(np.uint64)
+        addrs = (tags << np.uint64(15)) | (sets << np.uint64(5))
+        pcs = rng.integers(0, 8, n).astype(np.uint64) * np.uint64(4)
+        trace = _trace(addrs, pcs=pcs)
+        hp = HierarchyParams(mshr_entries=4)
+        ref = _state_parity(contender, trace, hp, _dbcp(2, 2))
+        assert ref.stats.mshr_merges > 0
+        ib = hp.l1d.index_bits
+        resident = {
+            (line.tag << ib) | s
+            for s, line in enumerate(ref._l1_lines) if line is not None
+        }
+        assert set(ref.prefetcher._live_signatures) - resident
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_pending_death_signature_consumed_by_next_miss(self, contender):
+        _require(contender)
+        hp = HierarchyParams()
+        trace = _set_trace(n_tags=6, n=2000, sets=2, seed=29)
+        ref, counts = _reference_dbcp(hp, _dbcp(8, 4))
+        _state_parity(contender, trace, hp, _dbcp(8, 4), ref)
+        assert counts["pending-consumed"] == ref.prefetcher.stats.updates > 0
+        assert ref.prefetcher._pending_death_signature is None
+
+
+class _PromotionLedger(MemoryHierarchy):
+    """Reference machine that classifies how pending promotions end and
+    which paths register them."""
+
+    __slots__ = ("counts", "_after_promote")
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.counts = Counter()
+        self._after_promote = None
+
+    def attach_prefetcher(self, prefetcher):
+        super().attach_prefetcher(prefetcher)
+        deadblock = prefetcher.deadblock
+        is_dead = deadblock.is_dead
+        counts = self.counts
+
+        def _is_dead(block, fill_time, last_access, now):
+            known = deadblock._lookup(block).peek(block) is not None
+            dead = is_dead(block, fill_time, last_access, now)
+            if not dead and now - last_access >= deadblock.config.min_idle:
+                counts["denied-history" if known else "denied-default"] += 1
+            return dead
+
+        deadblock.is_dead = _is_dead
+
+    def _try_promote(self, index, now):
+        pending = self._pending_l1.get(index)
+        promoted = self.stats.l1_promotions
+        super()._try_promote(index, now)
+        after = self._pending_l1.get(index)
+        self._after_promote = after
+        if pending is None or self.stats.l1_promotions != promoted:
+            return
+        if after is None and now - pending[1] > self.params.promotion_ttl:
+            self.counts["ttl-expired"] += 1
+
+    def access_time(self, now, index, tag, block, is_write, pc):
+        self._after_promote = self._pending_l1.get(index)
+        misses = self.stats.l1_misses
+        completion = super().access_time(now, index, tag, block, is_write, pc)
+        after = self._after_promote
+        if (
+            self.stats.l1_misses != misses
+            and after is not None
+            and after[0] == block
+            and index not in self._pending_l1
+        ):
+            # the miss cancelled the promotion and nothing re-pended the
+            # set, so the cancellation shows in the next snapshot
+            self.counts["demand-beat"] += 1
+        return completion
+
+    def issue_prefetch(self, request, now):
+        l2_block = request.block >> self._l2_shift
+        if request.into_l1 and self.l2d.probe(
+            l2_block & self._l2_index_mask, l2_block >> self._l2_index_bits
+        ) is not None:
+            self.counts["redundant-into-l1"] += 1
+        return super().issue_prefetch(request, now)
+
+
+def _hybrid(db=None, pht_sets=16):
+    def make():
+        pht = PHTConfig(sets=pht_sets, ways=4, miss_index_bits=0)
+        return HybridTCP(TCPConfig(pht=pht), deadblock=db or _TINY_DEADBLOCK)
+
+    return make
+
+
+#: a small history table with thresholds low enough that synthetic
+#: traces reach both verdicts.
+_TINY_DEADBLOCK = DeadBlockConfig(
+    sets=4, ways=2, dead_factor=2.0, default_idle_threshold=96.0, min_idle=16.0
+)
+
+
+def _hybrid_run(contender, trace, hp, make_prefetcher):
+    ref = _PromotionLedger(hp)
+    ref.attach_prefetcher(make_prefetcher())
+    _state_parity(contender, trace, hp, make_prefetcher, ref)
+    return ref
+
+
+def _cyclic_trace(n, sets=4, tags=5, gap=6, seed=0):
+    """Each set cycles through a fixed tag sequence — the TCP learns it
+    and predicts (into L1) the tag that follows."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n, dtype=np.uint64)
+    index = rng.integers(0, sets, n).astype(np.uint64)
+    tag = (i // np.uint64(sets)) % np.uint64(tags)
+    addrs = (tag << np.uint64(15)) | (index << np.uint64(5))
+    return _trace(
+        addrs,
+        pcs=rng.integers(0, 8, n).astype(np.uint64) * np.uint64(4),
+        loads=rng.random(n) < 0.85,
+        gaps=rng.integers(0, 2 * gap, n).astype(np.int64),
+    )
+
+
+class TestHybridEdges:
+    """The hybrid's pending-promotion plane, timekeeping gate, prefetch
+    bus and virtual-miss training against the reference hierarchy."""
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    @pytest.mark.parametrize("ttl", (0.0, 24.0))
+    def test_ttl_expiry(self, contender, ttl):
+        _require(contender)
+        hp = HierarchyParams(dedicated_prefetch_bus=True, promotion_ttl=ttl)
+        trace = _cyclic_trace(3000, gap=30, seed=1)
+        ref = _hybrid_run(contender, trace, hp, _hybrid())
+        assert ref.counts["ttl-expired"] > 0
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_demand_beats_its_promotion(self, contender):
+        _require(contender)
+        hp = HierarchyParams(dedicated_prefetch_bus=True)
+        trace = _cyclic_trace(3000, gap=2, seed=2)
+        ref = _hybrid_run(contender, trace, hp, _hybrid())
+        assert ref.counts["demand-beat"] > 0
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_gate_denies_on_default_threshold_and_on_history(self, contender):
+        _require(contender)
+        hp = HierarchyParams(dedicated_prefetch_bus=True)
+        trace = _cyclic_trace(4000, gap=20, seed=3)
+        ref = _hybrid_run(contender, trace, hp, _hybrid())
+        assert ref.counts["denied-default"] > 0
+        assert ref.counts["denied-history"] > 0
+        assert ref.prefetcher.promotions_approved > 0
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    @pytest.mark.parametrize("dedicated_bus", (True, False))
+    def test_promotion_hit_trains_a_virtual_miss(self, contender, dedicated_bus):
+        _require(contender)
+        hp = HierarchyParams(dedicated_prefetch_bus=dedicated_bus)
+        trace = _cyclic_trace(4000, gap=30, seed=4)
+        ref = _hybrid_run(contender, trace, hp, _hybrid())
+        assert ref.stats.l1_promotions > 0
+        assert ref.stats.l1_promotion_hits > 0
+        # every TCP lookup is a primary miss or a promotion hit
+        primary = ref.stats.l1_misses - ref.stats.mshr_merges
+        assert ref.prefetcher.stats.lookups == primary + ref.stats.l1_promotion_hits
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_redundant_into_l1_prefetch_registers_a_promotion(self, contender):
+        _require(contender)
+        hp = HierarchyParams(dedicated_prefetch_bus=True)
+        trace = _cyclic_trace(3000, tags=3, gap=10, seed=5)
+        ref = _hybrid_run(contender, trace, hp, _hybrid())
+        assert ref.counts["redundant-into-l1"] > 0
+        assert ref.stats.prefetch_redundant > 0
+
+
+class _TableRewrite(Probe):
+    """A probe that rewrites the prefetcher's Python-side tables at
+    every mark: the native engine must reload them (sync_in), as the
+    reference loop observes them immediately."""
+
+    interval = 500
+
+    def __init__(self):
+        self.marks = 0
+
+    def on_mark(self, mark, hierarchy):
+        self.marks += 1
+        p = hierarchy.prefetcher
+        k = self.marks
+        if isinstance(p, DeadBlockCorrelatingPrefetcher):
+            p._table[k % len(p._table)].put(k, (k << 10) | 3)
+            p._live_signatures[(k << 10) | 7] = k
+            p._pending_death_signature = k * 5
+        else:
+            hierarchy._pending_l1[k % 4] = ((k << 10) | (k % 4), mark.last_commit)
+            history = p.deadblock._history
+            history[k % len(history)].put((k << 10) | 1, float(k))
+
+
+class TestBoundaryReload:
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    @pytest.mark.parametrize("kind", ("dbcp", "hybrid"))
+    def test_probe_rewrites_are_observed(self, contender, kind):
+        _require(contender)
+        if kind == "dbcp":
+            hp, make = HierarchyParams(), _dbcp(4, 2)
+            trace = _set_trace(n_tags=8, n=3000, seed=31)
+        else:
+            hp, make = HierarchyParams(dedicated_prefetch_bus=True), _hybrid()
+            trace = _cyclic_trace(3000, gap=20, seed=6)
+        ref = _state_parity(contender, trace, hp, make, probes=lambda: [_TableRewrite()])
+        assert ref.prefetcher.stats.lookups > 0

@@ -33,9 +33,11 @@ from repro.sim.runner import clear_cache
 from repro.workloads import BENCHMARK_ORDER, Scale, Trace
 
 #: prefetcher labels the fuzz cycles through — the batched path
-#: (none/nextline/tcp-8k) plus one fallback config (hybrid-8k) so the
-#: reference-loop delegation is fuzzed too.
-FUZZ_LABELS = ("none", "nextline", "tcp-8k", "hybrid-8k")
+#: (none/nextline/tcp-8k) plus the two whole-trace C ports: DBCP's
+#: access-stream signatures (dbcp-2m) and the hybrid's gated L1
+#: promotions (hybrid-8k), which numpy still delegates to the
+#: reference loop.
+FUZZ_LABELS = ("none", "nextline", "tcp-8k", "dbcp-2m", "hybrid-8k")
 
 #: the oracle grid: the paper's headline configurations.
 ORACLE_LABELS = ("none", "nextline", "tcp-8k", "tcp-8m", "dbcp-2m", "hybrid-8k")
