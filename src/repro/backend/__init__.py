@@ -15,12 +15,12 @@ implementation for a run from ``SimulationConfig.backend``, the
     scalar epilogue for misses/prefetch/MSHR events — bit-identical to
     ``python`` by contract and by differential test.
 ``native``
-    the numpy batch path with the scalar epilogue compiled to C, and
-    DBCP and the hybrid stepped wholly in C (:mod:`repro.backend.
-    native`); requires the ``_native`` extension (built on demand, or
-    via ``pip install .[native]``) and falls back to ``numpy`` (or, for
-    what numpy cannot model, the reference loop) with a
-    once-per-process warning when it is missing.
+    the whole trace stepped in C, with every ``PREFETCHERS`` entry
+    trained in C (:mod:`repro.backend.native`); requires the
+    ``_native`` extension (built on demand, or via ``pip install
+    .[native]``) and falls back to ``numpy`` (or, for what numpy cannot
+    model, the reference loop) with a once-per-process warning when it
+    is missing.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """The compiled backend (``--backend native``).
 
 :class:`NativeBackend` routes a run to :class:`~repro.backend.native.
-engine.NativeCore`: the numpy engine's batch path with the scalar
-epilogue compiled to C (:mod:`repro.backend.native._native`), or, for
-the DBCP and the hybrid, the whole trace stepped in C.  Every
-``PREFETCHERS`` entry runs compiled.  The engine degrades loudly but
-gracefully, in two tiers:
+engine.NativeCore`, which steps the whole trace in C
+(:mod:`repro.backend.native._native`): every access, hits included, and
+the training of every ``PREFETCHERS`` entry.  The engine degrades
+loudly but gracefully, in two tiers:
 
 * configurations the C engine cannot represent fall back to the
   reference interpreted loop: a set-associative L1D, a direct-mapped
@@ -20,7 +19,9 @@ gracefully, in two tiers:
   engine cannot model either (DBCP, the hybrid), which go to the
   reference loop.
 
-Every fallback warns once per process and records the reason in
+Other prefetcher subclasses and unknown prefetcher types run compiled
+too, training through a Python ``observe_miss`` callback.  Every
+fallback warns once per process and records the reason in
 ``last_engine_stats["fallback"]``, which the runner copies into
 ``SimResult.backend_fallback``.  Either way results are bit-identical
 to the python backend; fallbacks only cost speed, never correctness.
@@ -60,12 +61,11 @@ def _warn_once(reason: str, target: str) -> None:
 
 
 class NativeBackend(Backend):
-    """The compiled engine: batch path plus C epilogue, or whole-trace C."""
+    """The compiled engine: the whole trace stepped in C."""
 
     name = "native"
 
-    def __init__(self, vector_min: Optional[int] = None) -> None:
-        self.vector_min = vector_min
+    def __init__(self) -> None:
         #: engine accounting for the last run: NativeCore.engine_stats
         #: when the compiled path ran; the numpy engine's stats plus a
         #: ``fallback`` reason when the extension was unavailable; or
@@ -100,18 +100,12 @@ class NativeBackend(Backend):
                     trace, hierarchy, params, warmup, probes,
                 )
             _warn_once(reason, "numpy batch engine")
-            if self.vector_min is not None:
-                core = VectorCore(params, vector_min=self.vector_min)
-            else:
-                core = VectorCore(params)
+            core = VectorCore(params)
             result = core.run(trace, hierarchy, warmup=warmup, probes=probes)
             self.last_engine_stats = dict(core.engine_stats)
             self.last_engine_stats["fallback"] = reason
             return result
-        if self.vector_min is not None:
-            core = NativeCore(params, vector_min=self.vector_min)
-        else:
-            core = NativeCore(params)
+        core = NativeCore(params)
         result = core.run(trace, hierarchy, warmup=warmup, probes=probes)
         self.last_engine_stats = core.engine_stats
         return result

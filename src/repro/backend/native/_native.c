@@ -1,31 +1,33 @@
-/* _native.c — the compiled scalar epilogue behind the `native` backend.
+/* _native.c — the compiled core loop behind the `native` backend.
  *
- * This module compiles the flattened per-access miss path of
- * repro/backend/vector/engine.py (the "scalar epilogue") into a C
- * extension.  The design constraint is strict bit-identity with the
- * python reference loop, so the Engine object does NOT keep its own
- * copies of simulator state: it operates directly on the *live*
- * Python containers (the MSHR in-flight dict, the L2 per-set LRU
- * dicts, the THT history rows, the PHT sets, DRAM's completion list,
- * the poisoned/resident sets) through the CPython C API, and unboxes
- * only pure scalars (bus clocks, counters) plus flat numpy planes
- * (trace columns, L1D state, completion/commit timelines) shared with
- * the Python driver via the buffer protocol.  All floating-point
- * arithmetic is plain IEEE double in source order — the same ops, in
- * the same order, that the CPython interpreter performs — so cycle
- * counts match the reference bit for bit.
+ * Engine.step(i, limit, ...) runs accesses [i, limit) of the trace
+ * wholly in C: dispatch, window/LSQ back-pressure, the L1D probe and
+ * fill, the MSHR file (a lazy-deletion ready heap over the live Python
+ * in-flight dict), the L2 set probe/fill/LRU on the live LRUSet dicts,
+ * the buses and DRAM, prefetch issue, and prefetcher training.  The
+ * design constraint is strict bit-identity with the python reference
+ * loop: all floating-point arithmetic is plain IEEE double in source
+ * order — the same ops, in the same order, that the CPython
+ * interpreter performs — so cycle counts match bit for bit.
  *
- * The Python driver (repro/backend/native/engine.py) keeps the numpy
- * batch path and calls Engine.step(i, limit, ...) for every scalar
- * stretch; probes, warmup accounting, and span boundaries stay in
- * Python.  Three callbacks reach back for the paths that must run
- * interpreted: instruction-fetch misses, generic (non-TCP) prefetcher
- * training, and L1 eviction events.
+ * Trace columns, the L1D state and the completion/commit timelines are
+ * flat numpy planes shared with the Python driver
+ * (repro/backend/native/engine.py) through the buffer protocol.  Pure
+ * scalars (bus clocks, counters) are unboxed.  Every PREFETCHERS entry
+ * trains in C, dispatched on the prefetcher's exact type: the TCP
+ * family (base, multi-target, stride-filtered, confidence-filtered,
+ * look-ahead, hybrid) trains the live THT rows and PHT dicts; the
+ * null, next-line, stride (RPT), stream-buffer, Markov and DBCP
+ * prefetchers, the stride detector and the hybrid's dead-block state
+ * keep their private tables flat in C.  sync_out writes the flat state
+ * to the Python objects and sync_in reloads it, at probe marks and at
+ * the end of the run.  Probes, warmup accounting and span boundaries
+ * stay in Python.
  *
- * DBCP and the hybrid TCP run whole spans through Engine.step and keep
- * their state flat in C (SetTable, LiveMap, the pending-promotion
- * plane); sync_out writes it to the Python objects and sync_in reloads
- * it, at probe marks and at the end of the run.
+ * Three callbacks reach back into Python: instruction fetches that miss
+ * the L1I-resident set, L1 eviction events for custom observers, and
+ * observe_miss for prefetchers without a C trainer (subclasses and
+ * unknown types, whose hooks C cannot know).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -39,19 +41,30 @@ typedef struct {
     long long b;
 } HeapItem;
 
+/* Payload kinds of a SetTable: what the mirrored LRUSet values hold. */
+enum {
+    ST_INT,    /* an int (DBCP successor block) */
+    ST_FLOAT,  /* a float (timekeeping live time) */
+    ST_RPT,    /* an RPT entry: last block, stride, state (key = PC) */
+    ST_MARKOV, /* a Markov entry: successor count, then the successors */
+};
+
 /* A prefetcher table of small LRU sets, flattened: way slots kept in
  * recency order (slot 0 = LRU, slot len-1 = MRU), so a slot's position
  * is its LRU rank and the slot order is the insertion order of the
- * mirrored LRUSet dict.  Payloads are an integer (DBCP successor
- * block) or a double (timekeeping live time). */
+ * mirrored LRUSet dict.  Integer payloads take `vw` words per slot;
+ * ST_FLOAT payloads one double. */
 typedef struct {
-    Py_ssize_t nsets, ways;
+    Py_ssize_t nsets, ways, vw;
+    int kind;
     long long *key;
     long long *ival;
     double *fval;
+    long long *scratch;   /* vw words, for rotating a payload */
     int *len;
     unsigned char *dirty; /* set changed since the last mirror to Python */
     PyObject *sets;       /* list[LRUSet] mirrored at boundaries */
+    PyObject *factory;    /* payload class of the object kinds */
 } SetTable;
 
 /* Open-addressing int -> int map with insertion order (DBCP's live
@@ -64,13 +77,37 @@ typedef struct {
     unsigned long long next_seq;
 } LiveMap;
 
+/* Miss-stream trainers, chosen by the driver on the prefetcher's exact
+ * type (the "trainer" spec string). */
+enum {
+    TR_ABSENT,     /* no prefetcher attached */
+    TR_CALLBACK,   /* observe_miss through Python */
+    TR_NULL,
+    TR_NEXTLINE,
+    TR_STRIDE,
+    TR_STREAM,
+    TR_MARKOV,
+    TR_DBCP,
+    TR_TCP,        /* the base TCP and MultiTargetTCP */
+    TR_TCP_STRIDE,
+    TR_TCP_CONF,
+    TR_TCP_LOOK,
+    TR_HYBRID,
+};
+
+static const char *const TRAINER_NAMES[] = {
+    "absent", "callback", "null", "nextline", "stride", "stream", "markov",
+    "dbcp", "tcp", "tcp-stride", "tcp-conf", "tcp-look", "hybrid", NULL,
+};
+
 typedef struct {
     PyObject_HEAD
 
     /* ---- read-only trace planes (borrowed buffers) ---- */
     Py_buffer idx_b, instr_b, blocks_b, tags_b, deps_b, load_b, incs_b,
-        l2i_b, l2t_b, fb_b;
+        l2i_b, l2t_b, fb_b, pcs_b;
     const long long *idx, *instr, *blocks, *tags, *deps, *l2i, *l2t, *fb;
+    const unsigned long long *pcs;
     const unsigned char *load;
     const double *incs;
     int have_fb;
@@ -79,10 +116,11 @@ typedef struct {
     Py_buffer comp_b, cmt_b;
     double *comp_arr, *cmt_arr;
     Py_ssize_t n;
-    Py_buffer l1tag_b, l1la_b, l1ft_b, l1dirty_b;
+    Py_buffer l1tag_b, l1la_b, l1ft_b, l1dirty_b, l1pf_b;
     long long *l1tag;
     double *l1la, *l1ft;
     unsigned char *l1dirty;
+    unsigned char *l1pf; /* the prefetched bit of each L1D line */
     Py_buffer thtsum_b;
     long long *thtsum;
     int have_thtsum;
@@ -95,7 +133,6 @@ typedef struct {
     PyObject *l2_sets;    /* list[LRUSet] */
     PyObject *pht_sets;   /* list[LRUSet] or None */
     PyObject *tht_hist;   /* list[tuple[int, ...]] or None */
-    PyObject *poisoned;   /* set[int] */
     PyObject *resident;   /* set[int] */
     PyObject *cacheline;  /* CacheLine class */
     PyObject *l1i_lookup; /* bound method */
@@ -113,7 +150,7 @@ typedef struct {
     int l2_ibits, l1i_bits, n_bits, tht_ib;
     long long pf_delay;
     double pf_busy_thr;
-    int lru_pf, ideal_l2, model_icache, tcp_fast, has_prefetcher, needs_evict;
+    int lru_pf, ideal_l2, model_icache, needs_evict;
 
     /* ---- mirrored component scalars (synced at boundaries) ---- */
     double a_nf, a_by, a_qc;
@@ -131,16 +168,37 @@ typedef struct {
     HeapItem *heap;
     Py_ssize_t heap_len, heap_cap;
 
-    /* ---- shared L1 plane: the prefetched bit of each L1D line ---- */
-    Py_buffer l1pf_b;
-    unsigned char *l1pf;
-    Py_buffer pcs_b;
-    const unsigned long long *pcs;
-    int have_pcs;
+    /* ---- the miss-stream trainer ---- */
+    int trainer;
+    PyObject *pf_obj;           /* the prefetcher */
+    long long degree;           /* next-line degree, RPT or TCP look-ahead */
+
+    /* ---- stride (RPT) and Markov tables ---- */
+    SetTable rpt;
+    SetTable mk;
+    int mk_prev_valid;
+    long long mk_prev;
+
+    /* ---- stream buffers ---- */
+    Py_ssize_t sb_n;
+    long long sb_depth;
+    long long *sb_next;
+    double *sb_use;
+    unsigned char *sb_valid;
+    PyObject *sb_factory;
+
+    /* ---- TCP variants: stride detector, confidence, look-ahead ---- */
+    PyObject *det_obj;
+    Py_ssize_t det_n;
+    long long det_depth;
+    long long *det_last, *det_stride, *det_conf;
+    PyObject *conf;             /* live dict: (PHT set, tag) -> counter */
+    long long conf_thr, conf_max;
+    long long *spec;            /* speculative THT row (look-ahead) */
+    Py_ssize_t spec_len;
+    long long *seen;            /* blocks issued along the chain */
 
     /* ---- DBCP: signature table, live signatures, pending death ---- */
-    int dbcp;
-    PyObject *dbcp_obj;
     SetTable dt;
     int dt_shift;
     unsigned long long sig_mask;
@@ -149,7 +207,7 @@ typedef struct {
     long long pend_sig;
 
     /* ---- hybrid: pending promotions, dead-block history, prefetch bus */
-    int hybrid, into_l1;
+    int into_l1;
     long long l1_set_mask;
     long long *pl_block;        /* per L1 set */
     double *pl_ready;
@@ -169,9 +227,9 @@ typedef struct {
     long long pfr, pfi, pfred, pfdq, pfdb, pfev;
     long long pfl, pfu, pfp, tl, tp, pu, pl, ph;
     long long dead, pa, pd, dq, dv, de, l1p, l1ph;
+    long long sp, dobs, dhits, sup;
     long long cb_ifetch, cb_l1i, cb_observe, cb_evict;
     long long sc;
-    Py_ssize_t poison_peak;
     long long epi_ns;
 } EngineObject;
 
@@ -180,7 +238,9 @@ static PyObject *s_entries, *s_last_access, *s_prefetched, *s_fill_time,
     *s_dirty, *s_next_free, *s_busy_cycles, *s_queued_cycles, *s_transfers,
     *s_earliest, *s_full_stalls, *s_merges, *s_peak_occupancy,
     *s_completions_attr, *s_accesses, *s_pf_inflight_attr, *s_pending_l1,
-    *s_live_signatures, *s_pending_death;
+    *s_live_signatures, *s_pending_death, *s_last_block, *s_stride, *s_state,
+    *s_successors, *s_streams, *s_next_block, *s_last_use, *s_det_state,
+    *s_previous_block, *s_confidence;
 
 /* ================= small helpers ================= */
 
@@ -404,19 +464,30 @@ memcomp_prefix_filter(EngineObject *e, double bound)
 /* ================= flat prefetcher tables ================= */
 
 static int
-st_alloc(SetTable *t, Py_ssize_t nsets, Py_ssize_t ways, int float_vals)
+st_alloc(SetTable *t, PyObject *sets, Py_ssize_t ways, int kind,
+         Py_ssize_t vw)
 {
+    Py_ssize_t nsets = PyList_GET_SIZE(sets);
+    if (nsets <= 0 || (nsets & (nsets - 1)) || ways <= 0 || vw <= 0) {
+        PyErr_SetString(PyExc_ValueError, "prefetcher table geometry");
+        return -1;
+    }
     t->nsets = nsets;
     t->ways = ways;
+    t->kind = kind;
+    t->vw = vw;
     t->key = PyMem_Calloc(nsets * ways, sizeof(long long));
-    if (float_vals)
+    if (kind == ST_FLOAT)
         t->fval = PyMem_Calloc(nsets * ways, sizeof(double));
-    else
-        t->ival = PyMem_Calloc(nsets * ways, sizeof(long long));
+    else {
+        t->ival = PyMem_Calloc(nsets * ways * vw, sizeof(long long));
+        t->scratch = PyMem_Calloc(vw, sizeof(long long));
+    }
     t->len = PyMem_Calloc(nsets, sizeof(int));
     t->dirty = PyMem_Calloc(nsets, 1);
     if (t->key == NULL || (t->fval == NULL && t->ival == NULL) ||
-        t->len == NULL || t->dirty == NULL) {
+        (kind != ST_FLOAT && t->scratch == NULL) || t->len == NULL ||
+        t->dirty == NULL) {
         PyErr_NoMemory();
         return -1;
     }
@@ -429,9 +500,11 @@ st_free(SetTable *t)
     PyMem_Free(t->key);
     PyMem_Free(t->ival);
     PyMem_Free(t->fval);
+    PyMem_Free(t->scratch);
     PyMem_Free(t->len);
     PyMem_Free(t->dirty);
     Py_XDECREF(t->sets);
+    Py_XDECREF(t->factory);
 }
 
 /* slot of `key` in set `set`, or -1 (LRUSet.peek: no reordering) */
@@ -447,23 +520,32 @@ st_find(const SetTable *t, Py_ssize_t set, long long key)
     return -1;
 }
 
-/* move slot w of `set` to the MRU end (del + reinsert) */
-static inline void
+/* integer payload of absolute slot `slot` (set * ways + way) */
+static inline long long *
+st_words(const SetTable *t, Py_ssize_t slot)
+{
+    return t->ival + slot * t->vw;
+}
+
+/* move way w of `set` to the MRU end (del + reinsert); returns the
+ * absolute MRU slot */
+static inline Py_ssize_t
 st_touch(SetTable *t, Py_ssize_t set, Py_ssize_t w)
 {
     Py_ssize_t base = set * t->ways;
     int last = t->len[set] - 1;
     if (w == last)
-        return;
+        return base + last;
     long long k = t->key[base + w];
     Py_ssize_t tail = last - w;
     memmove(t->key + base + w, t->key + base + w + 1, tail * sizeof(long long));
     t->key[base + last] = k;
     if (t->ival != NULL) {
-        long long v = t->ival[base + w];
-        memmove(t->ival + base + w, t->ival + base + w + 1,
-                tail * sizeof(long long));
-        t->ival[base + last] = v;
+        Py_ssize_t vw = t->vw;
+        memcpy(t->scratch, st_words(t, base + w), vw * sizeof(long long));
+        memmove(st_words(t, base + w), st_words(t, base + w + 1),
+                tail * vw * sizeof(long long));
+        memcpy(st_words(t, base + last), t->scratch, vw * sizeof(long long));
     }
     else {
         double v = t->fval[base + w];
@@ -471,31 +553,122 @@ st_touch(SetTable *t, Py_ssize_t set, Py_ssize_t w)
                 tail * sizeof(double));
         t->fval[base + last] = v;
     }
+    return base + last;
+}
+
+/* LRUSet.get: the absolute slot of `key`, promoted to MRU, or -1 */
+static inline Py_ssize_t
+st_get(SetTable *t, Py_ssize_t set, long long key)
+{
+    Py_ssize_t w = st_find(t, set, key);
+    if (w < 0)
+        return -1;
+    t->dirty[set] = 1;
+    return st_touch(t, set, w);
 }
 
 /* LRUSet.put: update-and-promote, else evict the LRU slot when full,
- * then insert at MRU */
-static void
-st_put(SetTable *t, Py_ssize_t set, long long key, long long ival, double fval)
+ * then insert at MRU.  Returns the absolute slot; the caller writes the
+ * payload. */
+static Py_ssize_t
+st_put(SetTable *t, Py_ssize_t set, long long key)
 {
-    Py_ssize_t base = set * t->ways;
     Py_ssize_t w = st_find(t, set, key);
     if (w >= 0)
         st_touch(t, set, w);
-    else {
-        if (t->len[set] >= t->ways) {
-            st_touch(t, set, 0); /* LRU to the end, then overwrite */
-        }
-        else
-            t->len[set]++;
-    }
-    Py_ssize_t last = base + t->len[set] - 1;
-    t->key[last] = key;
-    if (t->ival != NULL)
-        t->ival[last] = ival;
+    else if (t->len[set] >= t->ways)
+        st_touch(t, set, 0); /* LRU to the end, then overwrite */
     else
-        t->fval[last] = fval;
+        t->len[set]++;
+    Py_ssize_t last = set * t->ways + t->len[set] - 1;
+    t->key[last] = key;
     t->dirty[set] = 1;
+    return last;
+}
+
+/* the payload object `v` of a Python entry -> slot `slot` */
+static int
+st_value_in(SetTable *t, Py_ssize_t slot, PyObject *v)
+{
+    int err = 0;
+    if (t->kind == ST_FLOAT) {
+        double fv = PyFloat_AsDouble(v);
+        if (fv == -1.0 && PyErr_Occurred())
+            return -1;
+        t->fval[slot] = fv;
+        return 0;
+    }
+    long long *w = st_words(t, slot);
+    if (t->kind == ST_INT) {
+        w[0] = PyLong_AsLongLong(v);
+        return (w[0] == -1 && PyErr_Occurred()) ? -1 : 0;
+    }
+    if (t->kind == ST_RPT) {
+        w[0] = attr_ll(v, s_last_block, &err);
+        w[1] = attr_ll(v, s_stride, &err);
+        w[2] = attr_ll(v, s_state, &err);
+        return err ? -1 : 0;
+    }
+    PyObject *succ = PyObject_GetAttr(v, s_successors);
+    if (succ == NULL)
+        return -1;
+    Py_ssize_t count = PyList_Check(succ) ? PyList_GET_SIZE(succ) : -1;
+    if (count < 0 || count > t->vw - 1) {
+        Py_DECREF(succ);
+        PyErr_SetString(PyExc_ValueError,
+                        "Markov entry successors: not a list within the "
+                        "target count");
+        return -1;
+    }
+    w[0] = count;
+    for (Py_ssize_t q = 0; q < count; q++) {
+        w[1 + q] = PyLong_AsLongLong(PyList_GET_ITEM(succ, q));
+        if (w[1 + q] == -1 && PyErr_Occurred()) {
+            Py_DECREF(succ);
+            return -1;
+        }
+    }
+    Py_DECREF(succ);
+    return 0;
+}
+
+/* slot `slot` -> a new payload object (new ref) */
+static PyObject *
+st_value_out(SetTable *t, Py_ssize_t slot)
+{
+    if (t->kind == ST_FLOAT)
+        return PyFloat_FromDouble(t->fval[slot]);
+    long long *w = st_words(t, slot);
+    if (t->kind == ST_INT)
+        return PyLong_FromLongLong(w[0]);
+    if (t->kind == ST_RPT) {
+        PyObject *entry = PyObject_CallFunction(t->factory, "L", w[0]);
+        if (entry == NULL || set_attr_ll(entry, s_stride, w[1]) < 0 ||
+            set_attr_ll(entry, s_state, w[2]) < 0) {
+            Py_XDECREF(entry);
+            return NULL;
+        }
+        return entry;
+    }
+    PyObject *succ = PyList_New(w[0]);
+    if (succ == NULL)
+        return NULL;
+    for (Py_ssize_t q = 0; q < w[0]; q++) {
+        PyObject *o = PyLong_FromLongLong(w[1 + q]);
+        if (o == NULL) {
+            Py_DECREF(succ);
+            return NULL;
+        }
+        PyList_SET_ITEM(succ, q, o);
+    }
+    PyObject *entry = PyObject_CallNoArgs(t->factory);
+    int r = entry == NULL ? -1 : PyObject_SetAttr(entry, s_successors, succ);
+    Py_DECREF(succ);
+    if (r < 0) {
+        Py_XDECREF(entry);
+        return NULL;
+    }
+    return entry;
 }
 
 /* Python -> C: reload every set from the LRUSet dicts */
@@ -522,28 +695,16 @@ st_load(SetTable *t)
         Py_ssize_t base = set * t->ways, pos = 0, w = 0;
         PyObject *k, *v;
         while (PyDict_Next(entries, &pos, &k, &v)) {
-            long long kv = PyLong_AsLongLong(k);
-            if (kv == -1 && PyErr_Occurred()) {
+            /* RPT keys are PCs: unsigned 64-bit */
+            long long kv = t->kind == ST_RPT
+                               ? (long long)PyLong_AsUnsignedLongLong(k)
+                               : PyLong_AsLongLong(k);
+            if ((kv == -1 && PyErr_Occurred()) ||
+                st_value_in(t, base + w, v) < 0) {
                 Py_DECREF(entries);
                 return -1;
             }
             t->key[base + w] = kv;
-            if (t->ival != NULL) {
-                long long iv = PyLong_AsLongLong(v);
-                if (iv == -1 && PyErr_Occurred()) {
-                    Py_DECREF(entries);
-                    return -1;
-                }
-                t->ival[base + w] = iv;
-            }
-            else {
-                double fv = PyFloat_AsDouble(v);
-                if (fv == -1.0 && PyErr_Occurred()) {
-                    Py_DECREF(entries);
-                    return -1;
-                }
-                t->fval[base + w] = fv;
-            }
             w++;
         }
         Py_DECREF(entries);
@@ -568,10 +729,12 @@ st_store(SetTable *t)
         PyDict_Clear(entries);
         Py_ssize_t base = set * t->ways;
         for (int w = 0; w < t->len[set]; w++) {
-            PyObject *k = PyLong_FromLongLong(t->key[base + w]);
-            PyObject *v = t->ival != NULL
-                              ? PyLong_FromLongLong(t->ival[base + w])
-                              : PyFloat_FromDouble(t->fval[base + w]);
+            long long kv = t->key[base + w];
+            PyObject *k = t->kind == ST_RPT
+                              ? PyLong_FromUnsignedLongLong(
+                                    (unsigned long long)kv)
+                              : PyLong_FromLongLong(kv);
+            PyObject *v = st_value_out(t, base + w);
             int r = (k == NULL || v == NULL) ? -1
                                              : PyDict_SetItem(entries, k, v);
             Py_XDECREF(k);
@@ -761,13 +924,124 @@ pend_del(EngineObject *e, long long s)
 
 /* ---- mirrors of the Python-side prefetcher state ---- */
 
+/* StreamBufferPrefetcher._streams: a list of None or _Stream */
+static int
+streams_out(EngineObject *e)
+{
+    PyObject *lst = PyList_New(e->sb_n);
+    if (lst == NULL)
+        return -1;
+    for (Py_ssize_t q = 0; q < e->sb_n; q++) {
+        PyObject *o;
+        if (e->sb_valid[q])
+            o = PyObject_CallFunction(e->sb_factory, "Ld", e->sb_next[q],
+                                      e->sb_use[q]);
+        else
+            o = (Py_INCREF(Py_None), Py_None);
+        if (o == NULL) {
+            Py_DECREF(lst);
+            return -1;
+        }
+        PyList_SET_ITEM(lst, q, o);
+    }
+    int r = PyObject_SetAttr(e->pf_obj, s_streams, lst);
+    Py_DECREF(lst);
+    return r;
+}
+
+static int
+streams_in(EngineObject *e)
+{
+    PyObject *lst = PyObject_GetAttr(e->pf_obj, s_streams);
+    if (lst == NULL)
+        return -1;
+    if (!PyList_Check(lst) || PyList_GET_SIZE(lst) != e->sb_n) {
+        Py_DECREF(lst);
+        PyErr_SetString(PyExc_ValueError, "stream buffer count changed");
+        return -1;
+    }
+    int err = 0;
+    for (Py_ssize_t q = 0; q < e->sb_n && !err; q++) {
+        PyObject *o = PyList_GET_ITEM(lst, q);
+        e->sb_valid[q] = o != Py_None;
+        if (e->sb_valid[q]) {
+            e->sb_next[q] = attr_ll(o, s_next_block, &err);
+            e->sb_use[q] = attr_double(o, s_last_use, &err);
+        }
+    }
+    Py_DECREF(lst);
+    return err ? -1 : 0;
+}
+
+/* StridedSequenceDetector._state: a list of (last tag, stride,
+ * confirmations) tuples */
+static int
+detector_out(EngineObject *e)
+{
+    PyObject *lst = PyList_New(e->det_n);
+    if (lst == NULL)
+        return -1;
+    for (Py_ssize_t q = 0; q < e->det_n; q++) {
+        PyObject *o = Py_BuildValue("(LLL)", e->det_last[q], e->det_stride[q],
+                                    e->det_conf[q]);
+        if (o == NULL) {
+            Py_DECREF(lst);
+            return -1;
+        }
+        PyList_SET_ITEM(lst, q, o);
+    }
+    int r = PyObject_SetAttr(e->det_obj, s_det_state, lst);
+    Py_DECREF(lst);
+    return r;
+}
+
+static int
+detector_in(EngineObject *e)
+{
+    PyObject *lst = PyObject_GetAttr(e->det_obj, s_det_state);
+    if (lst == NULL)
+        return -1;
+    if (!PyList_Check(lst) || PyList_GET_SIZE(lst) != e->det_n) {
+        Py_DECREF(lst);
+        PyErr_SetString(PyExc_ValueError, "stride detector set count changed");
+        return -1;
+    }
+    for (Py_ssize_t q = 0; q < e->det_n; q++) {
+        if (!PyArg_ParseTuple(PyList_GET_ITEM(lst, q), "LLL", &e->det_last[q],
+                              &e->det_stride[q], &e->det_conf[q])) {
+            Py_DECREF(lst);
+            return -1;
+        }
+    }
+    Py_DECREF(lst);
+    return 0;
+}
+
 static int
 tables_out(EngineObject *e)
 {
-    if (e->dbcp) {
+    if (e->trainer == TR_STRIDE && st_store(&e->rpt) < 0)
+        return -1;
+    if (e->trainer == TR_STREAM && streams_out(e) < 0)
+        return -1;
+    if (e->trainer == TR_TCP_STRIDE && detector_out(e) < 0)
+        return -1;
+    if (e->trainer == TR_MARKOV) {
+        if (st_store(&e->mk) < 0)
+            return -1;
+        PyObject *prev = e->mk_prev_valid ? PyLong_FromLongLong(e->mk_prev)
+                                          : (Py_INCREF(Py_None), Py_None);
+        if (prev == NULL)
+            return -1;
+        int r = PyObject_SetAttr(e->pf_obj, s_previous_block, prev);
+        Py_DECREF(prev);
+        if (r < 0)
+            return -1;
+    }
+    if (e->trainer == TR_DBCP) {
         if (st_store(&e->dt) < 0)
             return -1;
-        PyObject *live = PyObject_GetAttr(e->dbcp_obj, s_live_signatures);
+        PyObject *live = PyObject_GetAttr(e->pf_obj, s_live_signatures);
         if (live == NULL)
             return -1;
         PyDict_Clear(live);
@@ -796,12 +1070,12 @@ tables_out(EngineObject *e)
                                        : (Py_INCREF(Py_None), Py_None);
         if (pend == NULL)
             return -1;
-        int r = PyObject_SetAttr(e->dbcp_obj, s_pending_death, pend);
+        int r = PyObject_SetAttr(e->pf_obj, s_pending_death, pend);
         Py_DECREF(pend);
         if (r < 0)
             return -1;
     }
-    if (e->hybrid) {
+    if (e->trainer == TR_HYBRID) {
         if (st_store(&e->dh) < 0)
             return -1;
         PyObject *pending = PyObject_GetAttr(e->hierarchy, s_pending_l1);
@@ -837,10 +1111,41 @@ tables_out(EngineObject *e)
 static int
 tables_in(EngineObject *e)
 {
-    if (e->dbcp) {
+    if (e->trainer == TR_TCP_CONF) {
+        /* the live confidence dict: chase the current object */
+        PyObject *conf = PyObject_GetAttr(e->pf_obj, s_confidence);
+        if (conf == NULL)
+            return -1;
+        if (!PyDict_Check(conf)) {
+            Py_DECREF(conf);
+            PyErr_SetString(PyExc_TypeError, "confidence table must be a dict");
+            return -1;
+        }
+        Py_XSETREF(e->conf, conf);
+    }
+    if (e->trainer == TR_STRIDE && st_load(&e->rpt) < 0)
+        return -1;
+    if (e->trainer == TR_STREAM && streams_in(e) < 0)
+        return -1;
+    if (e->trainer == TR_TCP_STRIDE && detector_in(e) < 0)
+        return -1;
+    if (e->trainer == TR_MARKOV) {
+        if (st_load(&e->mk) < 0)
+            return -1;
+        PyObject *prev = PyObject_GetAttr(e->pf_obj, s_previous_block);
+        if (prev == NULL)
+            return -1;
+        e->mk_prev_valid = prev != Py_None;
+        if (e->mk_prev_valid)
+            e->mk_prev = PyLong_AsLongLong(prev);
+        Py_DECREF(prev);
+        if (e->mk_prev_valid && e->mk_prev == -1 && PyErr_Occurred())
+            return -1;
+    }
+    if (e->trainer == TR_DBCP) {
         if (st_load(&e->dt) < 0)
             return -1;
-        PyObject *live = PyObject_GetAttr(e->dbcp_obj, s_live_signatures);
+        PyObject *live = PyObject_GetAttr(e->pf_obj, s_live_signatures);
         if (live == NULL)
             return -1;
         lm_clear(&e->live);
@@ -856,7 +1161,7 @@ tables_in(EngineObject *e)
             }
         }
         Py_DECREF(live);
-        PyObject *pend = PyObject_GetAttr(e->dbcp_obj, s_pending_death);
+        PyObject *pend = PyObject_GetAttr(e->pf_obj, s_pending_death);
         if (pend == NULL)
             return -1;
         e->pend_valid = pend != Py_None;
@@ -869,7 +1174,7 @@ tables_in(EngineObject *e)
         }
         Py_DECREF(pend);
     }
-    if (e->hybrid) {
+    if (e->trainer == TR_HYBRID) {
         if (st_load(&e->dh) < 0)
             return -1;
         PyObject *pending = PyObject_GetAttr(e->hierarchy, s_pending_l1);
@@ -1252,12 +1557,10 @@ dbcp_access(EngineObject *e, long long block, unsigned long long pc, int hit,
     /* LRUSet.get: a probe hit promotes the entry to MRU */
     SetTable *t = &e->dt;
     Py_ssize_t set = sig & (t->nsets - 1);
-    Py_ssize_t w = st_find(t, set, sig >> e->dt_shift);
-    if (w < 0)
+    Py_ssize_t slot = st_get(t, set, sig >> e->dt_shift);
+    if (slot < 0)
         return 0;
-    st_touch(t, set, w);
-    t->dirty[set] = 1;
-    long long succ = t->ival[set * t->ways + t->len[set] - 1];
+    long long succ = st_words(t, slot)[0];
     if (succ == block)
         return 0;
     e->dead++;
@@ -1283,8 +1586,9 @@ dbcp_miss(EngineObject *e, long long block)
     e->pfl++;
     if (e->pend_valid) {
         SetTable *t = &e->dt;
-        st_put(t, e->pend_sig & (t->nsets - 1), e->pend_sig >> e->dt_shift,
-               block, 0.0);
+        Py_ssize_t slot = st_put(t, e->pend_sig & (t->nsets - 1),
+                                 e->pend_sig >> e->dt_shift);
+        st_words(t, slot)[0] = block;
         e->pend_valid = 0;
         e->pfu++;
     }
@@ -1305,7 +1609,7 @@ db_record(EngineObject *e, long long vblock, double fill_time,
     Py_ssize_t w = st_find(t, set, vblock);
     if (w >= 0)
         live_time = (t->fval[set * t->ways + w] + live_time) / 2.0;
-    st_put(t, set, vblock, 0, live_time);
+    t->fval[st_put(t, set, vblock)] = live_time;
     e->de++;
 }
 
@@ -1365,9 +1669,9 @@ fill_l1_c(EngineObject *e, long long s, long long tag, double now, int dirty,
         e->d_tr += 1;
     }
     long long vblock = (vt << e->l1_ib) | s;
-    if (e->dbcp)
+    if (e->trainer == TR_DBCP)
         dbcp_evict(e, vblock);
-    else if (e->hybrid)
+    else if (e->trainer == TR_HYBRID)
         db_record(e, vblock, old_ft, old_la);
     else if (e->needs_evict) {
         e->cb_evict++;
@@ -1468,7 +1772,627 @@ try_promote(EngineObject *e, long long s, double now)
     return 0;
 }
 
-/* ================= the scalar epilogue ================= */
+/* ================= the TCP family ================= */
+
+/* PHTIndexScheme.compute (truncated add) on a THT row sum */
+static inline Py_ssize_t
+pht_index(const EngineObject *e, long long sum, long long s)
+{
+    long long hi = sum & e->seq_mask;
+    return e->n_bits == 0 ? hi : ((hi << e->n_bits) | (s & e->miss_mask));
+}
+
+/* PatternHistoryTable.predict without the copy: *out is the successor
+ * list (new ref) of entry `key` in PHT set `pidx`, promoted to MRU, or
+ * NULL on a PHT miss */
+static int
+pht_predict(EngineObject *e, Py_ssize_t pidx, PyObject *key, PyObject **out)
+{
+    *out = NULL;
+    e->pl++;
+    PyObject *entries =
+        PyObject_GetAttr(PyList_GET_ITEM(e->pht_sets, pidx), s_entries);
+    if (entries == NULL)
+        return -1;
+    PyObject *succ = PyDict_GetItemWithError(entries, key);
+    if (succ == NULL) {
+        Py_DECREF(entries);
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    Py_INCREF(succ);
+    if (PyDict_DelItem(entries, key) < 0 ||
+        PyDict_SetItem(entries, key, succ) < 0) {
+        Py_DECREF(succ);
+        Py_DECREF(entries);
+        return -1;
+    }
+    Py_DECREF(entries);
+    e->ph++;
+    *out = succ;
+    return 0;
+}
+
+/* PatternHistoryTable.update: learn (sequence ending in `et`) -> tag in
+ * PHT set `pidx` */
+static int
+pht_update(EngineObject *e, Py_ssize_t pidx, PyObject *et, PyObject *tago,
+           long long tag)
+{
+    e->pu++;
+    PyObject *entries =
+        PyObject_GetAttr(PyList_GET_ITEM(e->pht_sets, pidx), s_entries);
+    if (entries == NULL)
+        return -1;
+    PyObject *succ = PyDict_GetItemWithError(entries, et);
+    if (succ == NULL) {
+        if (PyErr_Occurred())
+            goto fail;
+        if (PyDict_GET_SIZE(entries) >= e->pht_ways) {
+            PyObject *fk = dict_first_key(entries);
+            Py_INCREF(fk);
+            int r = PyDict_DelItem(entries, fk);
+            Py_DECREF(fk);
+            if (r < 0)
+                goto fail;
+        }
+        PyObject *lst = PyList_New(1);
+        if (lst == NULL)
+            goto fail;
+        Py_INCREF(tago);
+        PyList_SET_ITEM(lst, 0, tago);
+        int r = PyDict_SetItem(entries, et, lst);
+        Py_DECREF(lst);
+        if (r < 0)
+            goto fail;
+        Py_DECREF(entries);
+        return 0;
+    }
+    /* LRU promote, then MRU-front the successor list */
+    Py_INCREF(succ);
+    if (PyDict_DelItem(entries, et) < 0 ||
+        PyDict_SetItem(entries, et, succ) < 0)
+        goto fail_succ;
+    Py_ssize_t len = PyList_GET_SIZE(succ);
+    if (len) {
+        long long s0 = PyLong_AsLongLong(PyList_GET_ITEM(succ, 0));
+        if (s0 == -1 && PyErr_Occurred())
+            goto fail_succ;
+        if (s0 == tag)
+            len = 0; /* already the MRU successor */
+    }
+    else
+        len = -1; /* empty list: insert only */
+    if (len) {
+        for (Py_ssize_t q = 0; q < len; q++) {
+            long long qv = PyLong_AsLongLong(PyList_GET_ITEM(succ, q));
+            if (qv == -1 && PyErr_Occurred())
+                goto fail_succ;
+            if (qv == tag) {
+                if (PyList_SetSlice(succ, q, q + 1, NULL) < 0)
+                    goto fail_succ;
+                break;
+            }
+        }
+        if (PyList_Insert(succ, 0, tago) < 0)
+            goto fail_succ;
+        Py_ssize_t ln2 = PyList_GET_SIZE(succ);
+        if (ln2 > e->pht_targets &&
+            PyList_SetSlice(succ, e->pht_targets, ln2, NULL) < 0)
+            goto fail_succ;
+    }
+    Py_DECREF(succ);
+    Py_DECREF(entries);
+    return 0;
+fail_succ:
+    Py_DECREF(succ);
+fail:
+    Py_DECREF(entries);
+    return -1;
+}
+
+/* TagHistoryTable.push: row s becomes row[1:] + (tag,); returns 0 and
+ * keeps the running row sum in thtsum[s] */
+static int
+tht_push(EngineObject *e, long long s, PyObject *tago, long long tag)
+{
+    e->tp++;
+    PyObject *old_seq = PyList_GET_ITEM(e->tht_hist, s); /* borrowed */
+    Py_ssize_t klen = PyTuple_GET_SIZE(old_seq);
+    long long seq0 = PyLong_AsLongLong(PyTuple_GET_ITEM(old_seq, 0));
+    if (seq0 == -1 && PyErr_Occurred())
+        return -1;
+    PyObject *newseq = PyTuple_New(klen);
+    if (newseq == NULL)
+        return -1;
+    for (Py_ssize_t q = 1; q < klen; q++) {
+        PyObject *it = PyTuple_GET_ITEM(old_seq, q);
+        Py_INCREF(it);
+        PyTuple_SET_ITEM(newseq, q - 1, it);
+    }
+    Py_INCREF(tago);
+    PyTuple_SET_ITEM(newseq, klen - 1, tago);
+    if (PyList_SetItem(e->tht_hist, s, newseq) < 0) /* steals */
+        return -1;
+    e->thtsum[s] = e->thtsum[s] - seq0 + tag;
+    return 0;
+}
+
+/* issue every successor in `succ` but the demand block itself; returns
+ * the number issued, or -1 */
+static long long
+tcp_issue(EngineObject *e, PyObject *succ, long long s, long long block,
+          double v)
+{
+    double launch = v + (double)e->pf_delay;
+    long long npred = 0;
+    Py_ssize_t nsucc = PyList_GET_SIZE(succ);
+    for (Py_ssize_t q = 0; q < nsucc; q++) {
+        long long nt = PyLong_AsLongLong(PyList_GET_ITEM(succ, q));
+        if (nt == -1 && PyErr_Occurred())
+            return -1;
+        long long pb = (nt << e->tht_ib) | s;
+        if (pb == block)
+            continue;
+        npred++;
+        if (issue_pf_c(e, pb, launch, e->into_l1) < 0)
+            return -1;
+    }
+    return npred;
+}
+
+/* the TCP update half shared by every variant: read row s, learn
+ * old row -> tag, push tag.  *pidx_old is the old row's PHT set. */
+static int
+tcp_update(EngineObject *e, long long s, PyObject *tago, long long tag)
+{
+    e->tl++;
+    PyObject *old_seq = PyList_GET_ITEM(e->tht_hist, s); /* borrowed */
+    PyObject *et = PyTuple_GET_ITEM(old_seq, PyTuple_GET_SIZE(old_seq) - 1);
+    if (pht_update(e, pht_index(e, e->thtsum[s], s), et, tago, tag) < 0 ||
+        tht_push(e, s, tago, tag) < 0)
+        return -1;
+    e->pfu++;
+    return 0;
+}
+
+/* TagCorrelatingPrefetcher.observe_miss (also MultiTargetTCP and the
+ * hybrid's TCP half) */
+static int
+tcp_train(EngineObject *e, long long s, long long tag, long long block,
+          double v)
+{
+    e->pfl++;
+    PyObject *tago = PyLong_FromLongLong(tag);
+    if (tago == NULL)
+        return -1;
+    PyObject *succ = NULL;
+    int r = -1;
+    if (tcp_update(e, s, tago, tag) == 0 &&
+        pht_predict(e, pht_index(e, e->thtsum[s], s), tago, &succ) == 0) {
+        long long npred = succ ? tcp_issue(e, succ, s, block, v) : 0;
+        if (npred >= 0) {
+            e->pfp += npred;
+            r = 0;
+        }
+    }
+    Py_XDECREF(succ);
+    Py_DECREF(tago);
+    return r;
+}
+
+/* StrideFilteredTCP.observe_miss: the per-set detector first; a
+ * confirmed stride pushes the THT and predicts tag + stride, leaving
+ * the PHT alone */
+static int
+tcp_stride_train(EngineObject *e, long long s, long long tag,
+                 long long block, double v)
+{
+    e->dobs++;
+    long long last = e->det_last[s], stride = e->det_stride[s];
+    long long conf = e->det_conf[s];
+    long long observed = tag - last;
+    int predicts = 0;
+    if (conf < 0) {
+        stride = 0;
+        conf = 0;
+    }
+    else {
+        if (observed != 0 && observed == stride)
+            conf++;
+        else {
+            conf = observed != 0 ? 1 : 0;
+            stride = observed;
+        }
+        predicts = stride != 0 && conf >= e->det_depth - 1;
+    }
+    e->det_last[s] = tag;
+    e->det_stride[s] = stride;
+    e->det_conf[s] = conf;
+    if (!predicts)
+        return tcp_train(e, s, tag, block, v);
+    e->dhits++;
+    PyObject *tago = PyLong_FromLongLong(tag);
+    if (tago == NULL)
+        return -1;
+    int r = tht_push(e, s, tago, tag);
+    Py_DECREF(tago);
+    if (r < 0)
+        return -1;
+    e->pfl++;
+    long long ptag = tag + stride;
+    if (ptag < 0)
+        return 0;
+    e->sp++;
+    e->pfp++;
+    return issue_pf_c(e, (ptag << e->tht_ib) | s, v + (double)e->pf_delay,
+                      e->into_l1);
+}
+
+/* the confidence counter of `key` (0 when absent) */
+static int
+conf_get(EngineObject *e, PyObject *key, long long *out)
+{
+    PyObject *c = PyDict_GetItemWithError(e->conf, key);
+    if (c == NULL) {
+        *out = 0;
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    *out = PyLong_AsLongLong(c);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* ConfidenceFilteredTCP.observe_miss: a pre-update predict trains the
+ * saturating counter of (old set, old tag); the lookup issues only when
+ * the target entry's counter reaches the threshold */
+static int
+tcp_conf_train(EngineObject *e, long long s, long long tag, long long block,
+               double v)
+{
+    e->pfl++;
+    PyObject *old_seq = PyList_GET_ITEM(e->tht_hist, s); /* borrowed */
+    PyObject *et = PyTuple_GET_ITEM(old_seq, PyTuple_GET_SIZE(old_seq) - 1);
+    Py_ssize_t pidx = pht_index(e, e->thtsum[s], s);
+    PyObject *tago = PyLong_FromLongLong(tag);
+    PyObject *key = Py_BuildValue("(nO)", pidx, et);
+    PyObject *prev = NULL, *succ = NULL, *cval = NULL;
+    int r = -1;
+    long long c;
+    if (tago == NULL || key == NULL || pht_predict(e, pidx, et, &prev) < 0 ||
+        conf_get(e, key, &c) < 0)
+        goto done;
+    int hit = 0;
+    if (prev != NULL && PyList_GET_SIZE(prev)) {
+        long long p0 = PyLong_AsLongLong(PyList_GET_ITEM(prev, 0));
+        if (p0 == -1 && PyErr_Occurred())
+            goto done;
+        hit = p0 == tag;
+    }
+    if (hit)
+        c = c + 1 < e->conf_max ? c + 1 : e->conf_max;
+    else
+        c = c - 1 > 0 ? c - 1 : 0;
+    cval = PyLong_FromLongLong(c);
+    if (cval == NULL || PyDict_SetItem(e->conf, key, cval) < 0 ||
+        tcp_update(e, s, tago, tag) < 0)
+        goto done;
+    pidx = pht_index(e, e->thtsum[s], s);
+    if (pht_predict(e, pidx, tago, &succ) < 0)
+        goto done;
+    r = 0;
+    if (succ == NULL || !PyList_GET_SIZE(succ))
+        goto done;
+    Py_SETREF(key, Py_BuildValue("(nO)", pidx, tago));
+    if (key == NULL || conf_get(e, key, &c) < 0) {
+        r = -1;
+        goto done;
+    }
+    if (c < e->conf_thr) {
+        e->sup++;
+        goto done;
+    }
+    long long npred = tcp_issue(e, succ, s, block, v);
+    if (npred < 0)
+        r = -1;
+    else
+        e->pfp += npred;
+done:
+    Py_XDECREF(tago);
+    Py_XDECREF(key);
+    Py_XDECREF(prev);
+    Py_XDECREF(succ);
+    Py_XDECREF(cval);
+    return r;
+}
+
+/* LookaheadTCP.observe_miss: up to `degree` predictions, each pushed
+ * back through a speculative copy of the row; the chain stops at a PHT
+ * miss or a block it already issued */
+static int
+tcp_look_train(EngineObject *e, long long s, long long tag, long long block,
+               double v)
+{
+    e->pfl++;
+    PyObject *tago = PyLong_FromLongLong(tag);
+    if (tago == NULL)
+        return -1;
+    if (tcp_update(e, s, tago, tag) < 0) {
+        Py_DECREF(tago);
+        return -1;
+    }
+    PyObject *row = PyList_GET_ITEM(e->tht_hist, s); /* borrowed */
+    Py_ssize_t klen = PyTuple_GET_SIZE(row);
+    if (klen > e->spec_len) {
+        /* a probe may have rewritten the row's length */
+        long long *grown = PyMem_Realloc(e->spec, klen * sizeof(long long));
+        if (grown == NULL) {
+            Py_DECREF(tago);
+            PyErr_NoMemory();
+            return -1;
+        }
+        e->spec = grown;
+        e->spec_len = klen;
+    }
+    for (Py_ssize_t q = 0; q < klen; q++) {
+        e->spec[q] = PyLong_AsLongLong(PyTuple_GET_ITEM(row, q));
+        if (e->spec[q] == -1 && PyErr_Occurred()) {
+            Py_DECREF(tago);
+            return -1;
+        }
+    }
+    long long sum = e->thtsum[s];
+    double launch = v + (double)e->pf_delay;
+    Py_ssize_t nseen = 0;
+    e->seen[nseen++] = block;
+    PyObject *key = tago; /* owned */
+    int r = 0;
+    for (long long step = 0; step < e->degree; step++) {
+        PyObject *succ;
+        if (pht_predict(e, pht_index(e, sum, s), key, &succ) < 0) {
+            r = -1;
+            break;
+        }
+        if (succ == NULL || !PyList_GET_SIZE(succ)) {
+            Py_XDECREF(succ);
+            break;
+        }
+        long long nt = PyLong_AsLongLong(PyList_GET_ITEM(succ, 0));
+        Py_DECREF(succ);
+        if (nt == -1 && PyErr_Occurred()) {
+            r = -1;
+            break;
+        }
+        long long pb = (nt << e->tht_ib) | s;
+        int repeated = 0;
+        for (Py_ssize_t q = 0; q < nseen; q++)
+            repeated |= e->seen[q] == pb;
+        if (repeated)
+            break; /* the chain closed on itself */
+        e->seen[nseen++] = pb;
+        e->pfp++;
+        if (issue_pf_c(e, pb, launch, e->into_l1) < 0) {
+            r = -1;
+            break;
+        }
+        sum = sum - e->spec[0] + nt;
+        memmove(e->spec, e->spec + 1, (klen - 1) * sizeof(long long));
+        e->spec[klen - 1] = nt;
+        Py_SETREF(key, PyLong_FromLongLong(nt));
+        if (key == NULL) {
+            r = -1;
+            break;
+        }
+    }
+    Py_XDECREF(key);
+    return r;
+}
+
+/* ================= the other miss-stream trainers ================= */
+
+/* StridePrefetcher.observe_miss: the PC-indexed RPT with its two-bit
+ * state machine */
+enum { RPT_INITIAL, RPT_TRANSIENT, RPT_STEADY, RPT_NO_PRED };
+
+static int
+stride_train(EngineObject *e, long long block, unsigned long long pc,
+             double v)
+{
+    e->pfl++;
+    SetTable *t = &e->rpt;
+    Py_ssize_t set = (Py_ssize_t)((pc >> 2) & (unsigned long long)(t->nsets - 1));
+    Py_ssize_t slot = st_get(t, set, (long long)pc);
+    if (slot < 0) {
+        long long *w = st_words(t, st_put(t, set, (long long)pc));
+        w[0] = block;
+        w[1] = 0;
+        w[2] = RPT_INITIAL;
+        return 0;
+    }
+    long long *w = st_words(t, slot); /* last block, stride, state */
+    long long observed = block - w[0];
+    e->pfu++;
+    if (observed == w[1] && observed != 0)
+        w[2] = (w[2] == RPT_TRANSIENT || w[2] == RPT_STEADY) ? RPT_STEADY
+                                                              : RPT_TRANSIENT;
+    else {
+        if (w[2] == RPT_STEADY)
+            w[2] = RPT_INITIAL;
+        else if (w[2] == RPT_INITIAL)
+            w[2] = RPT_TRANSIENT;
+        else
+            w[2] = RPT_NO_PRED;
+        w[1] = observed;
+    }
+    w[0] = block;
+    if (w[2] != RPT_STEADY || w[1] == 0)
+        return 0;
+    e->pfp += e->degree;
+    long long stride = w[1];
+    double launch = v + (double)e->pf_delay;
+    for (long long step = 1; step <= e->degree; step++) {
+        long long pb = block + stride * step;
+        if (pb > 0 && issue_pf_c(e, pb, launch, 0) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* StreamBufferPrefetcher.observe_miss: the first buffer whose window
+ * covers the block advances; otherwise the first empty buffer, else the
+ * least recently used one, restarts after the block */
+static int
+stream_train(EngineObject *e, long long block, double v)
+{
+    e->pfl++;
+    double launch = v + (double)e->pf_delay;
+    for (Py_ssize_t q = 0; q < e->sb_n; q++) {
+        long long ahead = block - e->sb_next[q];
+        if (!e->sb_valid[q] || ahead < 0 || ahead >= e->sb_depth)
+            continue;
+        long long consumed = ahead + 1;
+        long long first_new = e->sb_next[q] + e->sb_depth;
+        e->sb_next[q] += consumed;
+        e->sb_use[q] = v;
+        e->pfp += consumed;
+        e->pfu++;
+        for (long long k = 0; k < consumed; k++) {
+            if (issue_pf_c(e, first_new + k, launch, 0) < 0)
+                return -1;
+        }
+        return 0;
+    }
+    Py_ssize_t slot = 0;
+    double oldest = Py_HUGE_VAL;
+    for (Py_ssize_t q = 0; q < e->sb_n; q++) {
+        if (!e->sb_valid[q]) {
+            slot = q;
+            break;
+        }
+        if (e->sb_use[q] < oldest) {
+            oldest = e->sb_use[q];
+            slot = q;
+        }
+    }
+    e->sb_valid[slot] = 1;
+    e->sb_next[slot] = block + 1;
+    e->sb_use[slot] = v;
+    e->pfp += e->sb_depth;
+    for (long long k = 0; k < e->sb_depth; k++) {
+        if (issue_pf_c(e, block + 1 + k, launch, 0) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* MarkovPrefetcher.observe_miss: learn previous -> block (MRU-first,
+ * bounded successor list), then predict the block's successors */
+static int
+markov_train(EngineObject *e, long long block, double v)
+{
+    e->pfl++;
+    SetTable *t = &e->mk;
+    Py_ssize_t targets = t->vw - 1;
+    if (e->mk_prev_valid && e->mk_prev != block) {
+        Py_ssize_t set = e->mk_prev & (t->nsets - 1);
+        Py_ssize_t slot = st_get(t, set, e->mk_prev);
+        if (slot < 0) {
+            slot = st_put(t, set, e->mk_prev);
+            st_words(t, slot)[0] = 0;
+        }
+        long long *w = st_words(t, slot); /* count, successors */
+        long long *succ = w + 1;
+        Py_ssize_t count = w[0];
+        for (Py_ssize_t q = 0; q < count; q++) {
+            if (succ[q] == block) {
+                memmove(succ + q, succ + q + 1,
+                        (count - q - 1) * sizeof(long long));
+                count--;
+                break;
+            }
+        }
+        if (count == targets)
+            count--;
+        memmove(succ + 1, succ, count * sizeof(long long));
+        succ[0] = block;
+        w[0] = count + 1;
+        e->pfu++;
+    }
+    e->mk_prev_valid = 1;
+    e->mk_prev = block;
+    Py_ssize_t slot = st_get(t, block & (t->nsets - 1), block);
+    if (slot < 0)
+        return 0;
+    long long *w = st_words(t, slot);
+    e->pfp += w[0];
+    double launch = v + (double)e->pf_delay;
+    for (long long q = 0; q < w[0]; q++) {
+        if (issue_pf_c(e, w[1 + q], launch, 0) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* one primary demand miss through the attached prefetcher */
+static int
+train_miss(EngineObject *e, long long s, long long tag, long long block,
+           Py_ssize_t i, int load, double v)
+{
+    switch (e->trainer) {
+    case TR_NULL:
+        e->pfl++;
+        return 0;
+    case TR_NEXTLINE: {
+        e->pfl++;
+        e->pfp += e->degree;
+        double launch = v + (double)e->pf_delay;
+        for (long long k = 1; k <= e->degree; k++) {
+            if (issue_pf_c(e, block + k, launch, 0) < 0)
+                return -1;
+        }
+        return 0;
+    }
+    case TR_STRIDE:
+        return stride_train(e, block, e->pcs[i], v);
+    case TR_STREAM:
+        return stream_train(e, block, v);
+    case TR_MARKOV:
+        return markov_train(e, block, v);
+    case TR_DBCP:
+        dbcp_miss(e, block);
+        return 0;
+    case TR_TCP:
+    case TR_HYBRID:
+        return tcp_train(e, s, tag, block, v);
+    case TR_TCP_STRIDE:
+        return tcp_stride_train(e, s, tag, block, v);
+    case TR_TCP_CONF:
+        return tcp_conf_train(e, s, tag, block, v);
+    case TR_TCP_LOOK:
+        return tcp_look_train(e, s, tag, block, v);
+    default:
+        break;
+    }
+    /* a prefetcher without a C trainer: its own observe_miss */
+    e->cb_observe++;
+    PyObject *reqs = PyObject_CallFunction(e->observe_cb, "LLLKOd", s, tag,
+                                           block, e->pcs[i],
+                                           load ? Py_False : Py_True, v);
+    if (reqs == NULL)
+        return -1;
+    int r = 0;
+    if (reqs != Py_None) {
+        double launch = v + (double)e->pf_delay;
+        Py_ssize_t nr = PyList_GET_SIZE(reqs);
+        for (Py_ssize_t q = 0; q < nr && r == 0; q++) {
+            long long pb = PyLong_AsLongLong(PyList_GET_ITEM(reqs, q));
+            if ((pb == -1 && PyErr_Occurred()) || issue_pf_c(e, pb, launch, 0) < 0)
+                r = -1;
+        }
+    }
+    Py_DECREF(reqs);
+    return r;
+}
+
+/* ================= the core loop ================= */
 
 static PyObject *
 Engine_step(EngineObject *e, PyObject *args)
@@ -1530,8 +2454,8 @@ Engine_step(EngineObject *e, PyObject *args)
                     if (sync_out_internal(e) < 0)
                         goto fail;
                     e->cb_ifetch++;
-                    PyObject *r = PyObject_CallFunction(e->ifetch_cb, "dn",
-                                                        nd, i);
+                    PyObject *r = PyObject_CallFunction(
+                        e->ifetch_cb, "dKL", nd, e->pcs[i], fb);
                     if (r == NULL)
                         goto fail;
                     double pen = PyFloat_AsDouble(r);
@@ -1561,7 +2485,8 @@ Engine_step(EngineObject *e, PyObject *args)
         int load = e->load[i];
         long long tag = e->tags[i];
         double comp;
-        if (e->hybrid && e->pl_count && try_promote(e, s, v) < 0)
+        if (e->trainer == TR_HYBRID && e->pl_count &&
+            try_promote(e, s, v) < 0)
             goto fail;
         if (e->l1tag[s] == tag) {
             /* inlined direct-mapped hit */
@@ -1577,16 +2502,7 @@ Engine_step(EngineObject *e, PyObject *args)
             e->l1la[s] = v;
             e->dc++;
             e->hc++;
-            if (PySet_GET_SIZE(e->poisoned)) {
-                PyObject *so = PyLong_FromLongLong(s);
-                if (so == NULL)
-                    goto fail;
-                int r = PySet_Discard(e->poisoned, so);
-                Py_DECREF(so);
-                if (r < 0)
-                    goto fail;
-            }
-            if (e->hybrid && e->l1pf[s]) {
+            if (e->trainer == TR_HYBRID && e->l1pf[s]) {
                 /* a hit on a promoted line trains the TCP as a virtual
                  * miss */
                 e->l1pf[s] = 0;
@@ -1594,7 +2510,8 @@ Engine_step(EngineObject *e, PyObject *args)
                 if (tcp_train(e, s, tag, e->blocks[i], v) < 0)
                     goto fail;
             }
-            if (e->dbcp && dbcp_access(e, e->blocks[i], e->pcs[i], 1, v) < 0)
+            if (e->trainer == TR_DBCP &&
+                dbcp_access(e, e->blocks[i], e->pcs[i], 1, v) < 0)
                 goto fail;
         }
         else {
@@ -1606,9 +2523,11 @@ Engine_step(EngineObject *e, PyObject *args)
                 e->stc++;
             e->l1m++;
             long long block = e->blocks[i];
-            if (e->dbcp && dbcp_access(e, block, e->pcs[i], 0, v) < 0)
+            if (e->trainer == TR_DBCP &&
+                dbcp_access(e, block, e->pcs[i], 0, v) < 0)
                 goto fail;
-            if (e->hybrid && e->pl_seq[s] && e->pl_block[s] == block)
+            if (e->trainer == TR_HYBRID && e->pl_seq[s] &&
+                e->pl_block[s] == block)
                 pend_del(e, s); /* the demand beat the promotion */
             PyObject *blocko = PyLong_FromLongLong(block);
             if (blocko == NULL)
@@ -1631,20 +2550,6 @@ Engine_step(EngineObject *e, PyObject *args)
                 e->msh_mg++;
                 e->mgd++;
                 comp = mval;
-                PyObject *so = PyLong_FromLongLong(s);
-                if (so == NULL) {
-                    Py_DECREF(blocko);
-                    goto fail;
-                }
-                int r = PySet_Add(e->poisoned, so);
-                Py_DECREF(so);
-                if (r < 0) {
-                    Py_DECREF(blocko);
-                    goto fail;
-                }
-                Py_ssize_t lp = PySet_GET_SIZE(e->poisoned);
-                if (lp > e->poison_peak)
-                    e->poison_peak = lp;
                 Py_DECREF(blocko);
             }
             else {
@@ -1880,56 +2785,11 @@ Engine_step(EngineObject *e, PyObject *args)
                     Py_DECREF(blocko);
                     goto fail;
                 }
-                if (PySet_GET_SIZE(e->poisoned)) {
-                    PyObject *so = PyLong_FromLongLong(s);
-                    if (so == NULL) {
-                        Py_DECREF(blocko);
-                        goto fail;
-                    }
-                    int r = PySet_Discard(e->poisoned, so);
-                    Py_DECREF(so);
-                    if (r < 0) {
-                        Py_DECREF(blocko);
-                        goto fail;
-                    }
-                }
                 /* ---- prefetcher training ---- */
-                if (e->tcp_fast) {
-                    if (tcp_train(e, s, tag, block, v) < 0) {
-                        Py_DECREF(blocko);
-                        goto fail;
-                    }
-                }
-                else if (e->dbcp)
-                    dbcp_miss(e, block);
-                else if (e->has_prefetcher) {
-                    e->cb_observe++;
-                    PyObject *reqs = PyObject_CallFunction(
-                        e->observe_cb, "LLLnOd", s, tag, block, i,
-                        load ? Py_False : Py_True, v);
-                    if (reqs == NULL) {
-                        Py_DECREF(blocko);
-                        goto fail;
-                    }
-                    if (reqs != Py_None) {
-                        double launch = v + (double)e->pf_delay;
-                        Py_ssize_t nr = PyList_GET_SIZE(reqs);
-                        for (Py_ssize_t q = 0; q < nr; q++) {
-                            long long pb = PyLong_AsLongLong(
-                                PyList_GET_ITEM(reqs, q));
-                            if (pb == -1 && PyErr_Occurred()) {
-                                Py_DECREF(reqs);
-                                Py_DECREF(blocko);
-                                goto fail;
-                            }
-                            if (issue_pf_c(e, pb, launch, 0) < 0) {
-                                Py_DECREF(reqs);
-                                Py_DECREF(blocko);
-                                goto fail;
-                            }
-                        }
-                    }
-                    Py_DECREF(reqs);
+                if (e->trainer != TR_ABSENT &&
+                    train_miss(e, s, tag, block, i, load, v) < 0) {
+                    Py_DECREF(blocko);
+                    goto fail;
                 }
                 Py_DECREF(blocko);
             }
@@ -1951,175 +2811,6 @@ Engine_step(EngineObject *e, PyObject *args)
     return Py_BuildValue("dddnL", li, lc, nd, P, last_fb);
 fail:
     return NULL;
-}
-
-/* ================= TCP fast-path training ================= */
-
-static int
-tcp_train(EngineObject *e, long long s, long long tag, long long block,
-          double v)
-{
-    e->pfl++;
-    e->tl++;
-    PyObject *old_seq = PyList_GET_ITEM(e->tht_hist, s); /* borrowed */
-    long long old_sum = e->thtsum[s];
-    /* PHT update: learn old_seq -> tag */
-    e->pu++;
-    long long hi = old_sum & e->seq_mask;
-    long long pidx =
-        e->n_bits == 0 ? hi : ((hi << e->n_bits) | (s & e->miss_mask));
-    PyObject *lru = PyList_GET_ITEM(e->pht_sets, pidx);
-    PyObject *entries = PyObject_GetAttr(lru, s_entries);
-    if (entries == NULL)
-        return -1;
-    Py_ssize_t klen = PyTuple_GET_SIZE(old_seq);
-    PyObject *et = PyTuple_GET_ITEM(old_seq, klen - 1); /* borrowed */
-    PyObject *succ = PyDict_GetItemWithError(entries, et);
-    if (succ == NULL && PyErr_Occurred()) {
-        Py_DECREF(entries);
-        return -1;
-    }
-    PyObject *tago = PyLong_FromLongLong(tag);
-    if (tago == NULL) {
-        Py_DECREF(entries);
-        return -1;
-    }
-    if (succ == NULL) {
-        if (PyDict_GET_SIZE(entries) >= e->pht_ways) {
-            PyObject *fk = dict_first_key(entries);
-            Py_INCREF(fk);
-            int r = PyDict_DelItem(entries, fk);
-            Py_DECREF(fk);
-            if (r < 0)
-                goto fail;
-        }
-        PyObject *lst = PyList_New(1);
-        if (lst == NULL)
-            goto fail;
-        Py_INCREF(tago);
-        PyList_SET_ITEM(lst, 0, tago);
-        int r = PyDict_SetItem(entries, et, lst);
-        Py_DECREF(lst);
-        if (r < 0)
-            goto fail;
-    }
-    else {
-        /* LRU promote, then MRU-front the successor list */
-        Py_INCREF(succ);
-        if (PyDict_DelItem(entries, et) < 0 ||
-            PyDict_SetItem(entries, et, succ) < 0) {
-            Py_DECREF(succ);
-            goto fail;
-        }
-        long long s0 = PyLong_AsLongLong(PyList_GET_ITEM(succ, 0));
-        if (s0 == -1 && PyErr_Occurred()) {
-            Py_DECREF(succ);
-            goto fail;
-        }
-        if (s0 != tag) {
-            Py_ssize_t len = PyList_GET_SIZE(succ);
-            for (Py_ssize_t q = 0; q < len; q++) {
-                long long qv =
-                    PyLong_AsLongLong(PyList_GET_ITEM(succ, q));
-                if (qv == -1 && PyErr_Occurred()) {
-                    Py_DECREF(succ);
-                    goto fail;
-                }
-                if (qv == tag) {
-                    if (PyList_SetSlice(succ, q, q + 1, NULL) < 0) {
-                        Py_DECREF(succ);
-                        goto fail;
-                    }
-                    break;
-                }
-            }
-            if (PyList_Insert(succ, 0, tago) < 0) {
-                Py_DECREF(succ);
-                goto fail;
-            }
-            Py_ssize_t ln2 = PyList_GET_SIZE(succ);
-            if (ln2 > e->pht_targets &&
-                PyList_SetSlice(succ, e->pht_targets, ln2, NULL) < 0) {
-                Py_DECREF(succ);
-                goto fail;
-            }
-        }
-        Py_DECREF(succ);
-    }
-    /* THT push: new row = old_seq[1:] + (tag,), running sum updated */
-    {
-        PyObject *newseq = PyTuple_New(klen);
-        if (newseq == NULL)
-            goto fail;
-        for (Py_ssize_t q = 1; q < klen; q++) {
-            PyObject *it = PyTuple_GET_ITEM(old_seq, q);
-            Py_INCREF(it);
-            PyTuple_SET_ITEM(newseq, q - 1, it);
-        }
-        Py_INCREF(tago);
-        PyTuple_SET_ITEM(newseq, klen - 1, tago);
-        long long seq0 = PyLong_AsLongLong(PyTuple_GET_ITEM(old_seq, 0));
-        if (seq0 == -1 && PyErr_Occurred()) {
-            Py_DECREF(newseq);
-            goto fail;
-        }
-        if (PyList_SetItem(e->tht_hist, s, newseq) < 0) /* steals */
-            goto fail;
-        old_sum = old_sum - seq0 + tag;
-        e->thtsum[s] = old_sum;
-    }
-    e->tp++;
-    e->pfu++;
-    /* PHT predict on the new sequence (new_seq[-1] == tag) */
-    e->pl++;
-    hi = old_sum & e->seq_mask;
-    pidx = e->n_bits == 0 ? hi : ((hi << e->n_bits) | (s & e->miss_mask));
-    Py_DECREF(entries);
-    lru = PyList_GET_ITEM(e->pht_sets, pidx);
-    entries = PyObject_GetAttr(lru, s_entries);
-    if (entries == NULL) {
-        Py_DECREF(tago);
-        return -1;
-    }
-    succ = PyDict_GetItemWithError(entries, tago);
-    if (succ == NULL && PyErr_Occurred())
-        goto fail;
-    if (succ != NULL) {
-        Py_INCREF(succ);
-        if (PyDict_DelItem(entries, tago) < 0 ||
-            PyDict_SetItem(entries, tago, succ) < 0) {
-            Py_DECREF(succ);
-            goto fail;
-        }
-        e->ph++;
-        double launch = v + (double)e->pf_delay;
-        long long npred = 0;
-        Py_ssize_t nsucc = PyList_GET_SIZE(succ);
-        for (Py_ssize_t q = 0; q < nsucc; q++) {
-            long long nt = PyLong_AsLongLong(PyList_GET_ITEM(succ, q));
-            if (nt == -1 && PyErr_Occurred()) {
-                Py_DECREF(succ);
-                goto fail;
-            }
-            long long pb = (nt << e->tht_ib) | s;
-            if (pb == block)
-                continue;
-            npred++;
-            if (issue_pf_c(e, pb, launch, e->into_l1) < 0) {
-                Py_DECREF(succ);
-                goto fail;
-            }
-        }
-        e->pfp += npred;
-        Py_DECREF(succ);
-    }
-    Py_DECREF(entries);
-    Py_DECREF(tago);
-    return 0;
-fail:
-    Py_DECREF(entries);
-    Py_DECREF(tago);
-    return -1;
 }
 
 /* ================= methods ================= */
@@ -2213,7 +2904,10 @@ Engine_take_stats(EngineObject *e, PyObject *Py_UNUSED(ignored))
     PUT("cb_evict", e->cb_evict);
     PUT("sc", e->sc);
     PUT("mshr_full_stalls", e->msh_fs);
-    PUT("poisoned_peak", e->poison_peak);
+    PUT("sp", e->sp);
+    PUT("dobs", e->dobs);
+    PUT("dhits", e->dhits);
+    PUT("sup", e->sup);
     PUT("epi_ns", e->epi_ns);
 #undef PUT
     e->dc = e->ldc = e->stc = e->hc = e->ifc = 0;
@@ -2223,6 +2917,7 @@ Engine_take_stats(EngineObject *e, PyObject *Py_UNUSED(ignored))
     e->pfl = e->pfu = e->pfp = e->tl = e->tp = 0;
     e->pu = e->pl = e->ph = 0;
     e->dead = e->pa = e->pd = e->dq = e->dv = e->de = e->l1p = e->l1ph = 0;
+    e->sp = e->dobs = e->dhits = e->sup = 0;
     e->cb_ifetch = e->cb_l1i = e->cb_observe = e->cb_evict = 0;
     e->sc = 0;
     return d;
@@ -2307,6 +3002,127 @@ get_f(PyObject *spec, const char *key, double *out)
     return 0;
 }
 
+/* the trainer's private state, from the spec entries its name needs */
+static int
+trainer_init(EngineObject *e, PyObject *spec)
+{
+    long long ways, vw;
+    switch (e->trainer) {
+    case TR_NEXTLINE:
+        return get_ll(spec, "degree", &e->degree);
+    case TR_STRIDE:
+        if (get_ll(spec, "degree", &e->degree) < 0 ||
+            get_ll(spec, "ways", &ways) < 0 ||
+            get_obj(spec, "table", &e->rpt.sets, 0) < 0 ||
+            get_obj(spec, "entry", &e->rpt.factory, 0) < 0 ||
+            !PyList_Check(e->rpt.sets) ||
+            st_alloc(&e->rpt, e->rpt.sets, ways, ST_RPT, 3) < 0)
+            break;
+        return 0;
+    case TR_MARKOV:
+        if (get_ll(spec, "targets", &vw) < 0 ||
+            get_ll(spec, "ways", &ways) < 0 ||
+            get_obj(spec, "table", &e->mk.sets, 0) < 0 ||
+            get_obj(spec, "entry", &e->mk.factory, 0) < 0 ||
+            !PyList_Check(e->mk.sets) || vw <= 0 ||
+            st_alloc(&e->mk, e->mk.sets, ways, ST_MARKOV, 1 + vw) < 0)
+            break;
+        return 0;
+    case TR_STREAM: {
+        long long buffers;
+        if (get_ll(spec, "buffers", &buffers) < 0 ||
+            get_ll(spec, "depth", &e->sb_depth) < 0 ||
+            get_obj(spec, "entry", &e->sb_factory, 0) < 0 || buffers <= 0)
+            break;
+        e->sb_n = buffers;
+        e->sb_next = PyMem_Calloc(buffers, sizeof(long long));
+        e->sb_use = PyMem_Calloc(buffers, sizeof(double));
+        e->sb_valid = PyMem_Calloc(buffers, 1);
+        if (e->sb_next == NULL || e->sb_use == NULL || e->sb_valid == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        return 0;
+    }
+    case TR_TCP_STRIDE: {
+        if (get_obj(spec, "detector", &e->det_obj, 0) < 0 ||
+            get_ll(spec, "depth", &e->det_depth) < 0)
+            return -1;
+        Py_ssize_t n_sets = e->l1pf_b.len;
+        e->det_n = n_sets;
+        e->det_last = PyMem_Calloc(n_sets, sizeof(long long));
+        e->det_stride = PyMem_Calloc(n_sets, sizeof(long long));
+        e->det_conf = PyMem_Calloc(n_sets, sizeof(long long));
+        if (e->det_last == NULL || e->det_stride == NULL ||
+            e->det_conf == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        return 0;
+    }
+    case TR_TCP_CONF:
+        if (get_ll(spec, "threshold", &e->conf_thr) < 0 ||
+            get_ll(spec, "maximum", &e->conf_max) < 0)
+            return -1;
+        return 0;
+    case TR_TCP_LOOK: {
+        if (get_ll(spec, "degree", &e->degree) < 0)
+            return -1;
+        e->spec_len = PyTuple_GET_SIZE(PyList_GET_ITEM(e->tht_hist, 0));
+        e->spec = PyMem_Calloc(e->spec_len, sizeof(long long));
+        e->seen = PyMem_Calloc(e->degree + 1, sizeof(long long));
+        if (e->spec == NULL || e->seen == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        return 0;
+    }
+    case TR_DBCP: {
+        long long shift, sig_mask;
+        if (get_ll(spec, "ways", &ways) < 0 ||
+            get_ll(spec, "dbcp_shift", &shift) < 0 ||
+            get_ll(spec, "sig_mask", &sig_mask) < 0 ||
+            get_obj(spec, "table", &e->dt.sets, 0) < 0 ||
+            !PyList_Check(e->dt.sets) ||
+            st_alloc(&e->dt, e->dt.sets, ways, ST_INT, 1) < 0)
+            break;
+        e->dt_shift = (int)shift;
+        e->sig_mask = (unsigned long long)sig_mask;
+        if (lm_alloc(&e->live, 2048) < 0)
+            return -1;
+        lm_clear(&e->live);
+        return 0;
+    }
+    case TR_HYBRID: {
+        if (get_ll(spec, "ways", &ways) < 0 ||
+            get_obj(spec, "table", &e->dh.sets, 0) < 0 ||
+            get_f(spec, "ttl", &e->ttl) < 0 ||
+            get_f(spec, "dead_factor", &e->dead_factor) < 0 ||
+            get_f(spec, "default_idle", &e->default_idle) < 0 ||
+            get_f(spec, "min_idle", &e->min_idle) < 0 ||
+            !PyList_Check(e->dh.sets) ||
+            st_alloc(&e->dh, e->dh.sets, ways, ST_FLOAT, 1) < 0)
+            break;
+        Py_ssize_t n_sets = e->l1pf_b.len;
+        e->pl_block = PyMem_Calloc(n_sets, sizeof(long long));
+        e->pl_ready = PyMem_Calloc(n_sets, sizeof(double));
+        e->pl_seq = PyMem_Calloc(n_sets, sizeof(unsigned long long));
+        if (e->pl_block == NULL || e->pl_ready == NULL || e->pl_seq == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        e->pl_next_seq = 1;
+        return 0;
+    }
+    default:
+        return 0;
+    }
+    if (!PyErr_Occurred())
+        PyErr_Format(PyExc_ValueError, "%s trainer: table state",
+                     TRAINER_NAMES[e->trainer]);
+    return -1;
+}
+
 static int
 Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
 {
@@ -2329,17 +3145,31 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
     GETBUF("l2i", l2i_b, 0, 8, l2i, NULL);
     GETBUF("l2t", l2t_b, 0, 8, l2t, NULL);
     GETBUF("fb", fb_b, 0, 8, fb, &e->have_fb);
+    GETBUF("pcs", pcs_b, 0, 8, pcs, NULL);
     GETBUF("completions", comp_b, 1, 8, comp_arr, NULL);
     GETBUF("commits", cmt_b, 1, 8, cmt_arr, NULL);
     GETBUF("l1_tag", l1tag_b, 1, 8, l1tag, NULL);
     GETBUF("l1_la", l1la_b, 1, 8, l1la, NULL);
     GETBUF("l1_ft", l1ft_b, 1, 8, l1ft, NULL);
     GETBUF("l1_dirty", l1dirty_b, 1, 1, l1dirty, NULL);
-    GETBUF("tht_sums", thtsum_b, 1, 8, thtsum, &e->have_thtsum);
     GETBUF("l1_pf", l1pf_b, 1, 1, l1pf, NULL);
-    GETBUF("pcs", pcs_b, 0, 8, pcs, &e->have_pcs);
+    GETBUF("tht_sums", thtsum_b, 1, 8, thtsum, &e->have_thtsum);
 #undef GETBUF
     e->n = e->comp_b.len / (Py_ssize_t)sizeof(double);
+    Py_buffer *planes[] = {
+        &e->idx_b, &e->instr_b, &e->blocks_b, &e->tags_b, &e->deps_b,
+        &e->incs_b, &e->l2i_b, &e->l2t_b, &e->pcs_b, &e->cmt_b,
+    };
+    for (size_t q = 0; q < sizeof(planes) / sizeof(planes[0]); q++) {
+        if (planes[q]->len != e->n * 8) {
+            PyErr_SetString(PyExc_ValueError, "trace plane length mismatch");
+            return -1;
+        }
+    }
+    if (e->load_b.len != e->n || (e->have_fb && e->fb_b.len != e->n * 8)) {
+        PyErr_SetString(PyExc_ValueError, "trace plane length mismatch");
+        return -1;
+    }
 
     if (get_obj(spec, "msh_inf", &e->msh_inf, 0) < 0 ||
         get_obj(spec, "mem_comp", &e->mem_comp, 0) < 0 ||
@@ -2348,7 +3178,6 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
         get_obj(spec, "l2_sets", &e->l2_sets, 0) < 0 ||
         get_obj(spec, "pht_sets", &e->pht_sets, 1) < 0 ||
         get_obj(spec, "tht_hist", &e->tht_hist, 1) < 0 ||
-        get_obj(spec, "poisoned", &e->poisoned, 0) < 0 ||
         get_obj(spec, "resident", &e->resident, 0) < 0 ||
         get_obj(spec, "cacheline", &e->cacheline, 0) < 0 ||
         get_obj(spec, "l1i_lookup", &e->l1i_lookup, 0) < 0 ||
@@ -2359,9 +3188,7 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
         get_obj(spec, "mshr", &e->mshr, 0) < 0 ||
         get_obj(spec, "memory", &e->memory, 0) < 0 ||
         get_obj(spec, "hierarchy", &e->hierarchy, 0) < 0 ||
-        get_obj(spec, "dbcp_obj", &e->dbcp_obj, 1) < 0 ||
-        get_obj(spec, "dbcp_sets", &e->dt.sets, 1) < 0 ||
-        get_obj(spec, "db_sets", &e->dh.sets, 1) < 0 ||
+        get_obj(spec, "pf", &e->pf_obj, 1) < 0 ||
         get_obj(spec, "pb", &e->pb, 1) < 0)
         return -1;
 
@@ -2398,11 +3225,7 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
     GETLL("lru_pf", lru_pf);
     GETLL("ideal_l2", ideal_l2);
     GETLL("model_icache", model_icache);
-    GETLL("tcp_fast", tcp_fast);
-    GETLL("has_prefetcher", has_prefetcher);
     GETLL("needs_evict", needs_evict);
-    GETLL("dbcp", dbcp);
-    GETLL("hybrid", hybrid);
     GETLL("into_l1", into_l1);
     GETLL("l1_set_mask", l1_set_mask);
 #undef GETLL
@@ -2415,71 +3238,44 @@ Engine_init(EngineObject *e, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_ValueError, "l1_pf plane size mismatch");
         return -1;
     }
-    if (e->dbcp) {
-        long long sets, ways, shift, sig_mask;
-        if (e->dbcp_obj == NULL || e->dt.sets == NULL || !e->have_pcs ||
-            !PyList_Check(e->dt.sets)) {
-            PyErr_SetString(PyExc_ValueError, "dbcp without its table state");
-            return -1;
-        }
-        if (get_ll(spec, "dbcp_ways", &ways) < 0 ||
-            get_ll(spec, "dbcp_shift", &shift) < 0 ||
-            get_ll(spec, "sig_mask", &sig_mask) < 0)
-            return -1;
-        sets = PyList_GET_SIZE(e->dt.sets);
-        if (e->pcs_b.len != e->n * (Py_ssize_t)sizeof(long long) ||
-            sets <= 0 || (sets & (sets - 1)) || ways <= 0) {
-            PyErr_SetString(PyExc_ValueError,
-                            "dbcp: pcs plane length or table geometry");
-            return -1;
-        }
-        e->dt_shift = (int)shift;
-        e->sig_mask = (unsigned long long)sig_mask;
-        if (st_alloc(&e->dt, sets, ways, 0) < 0 || lm_alloc(&e->live, 2048) < 0)
-            return -1;
-        lm_clear(&e->live);
-    }
-    if (e->hybrid) {
-        long long ways;
-        if (e->dh.sets == NULL || !PyList_Check(e->dh.sets) ||
-            !e->tcp_fast) {
-            PyErr_SetString(PyExc_ValueError,
-                            "hybrid without dead-block or TCP state");
-            return -1;
-        }
-        if (get_ll(spec, "db_ways", &ways) < 0 ||
-            get_f(spec, "ttl", &e->ttl) < 0 ||
-            get_f(spec, "dead_factor", &e->dead_factor) < 0 ||
-            get_f(spec, "default_idle", &e->default_idle) < 0 ||
-            get_f(spec, "min_idle", &e->min_idle) < 0)
-            return -1;
-        Py_ssize_t db_sets = PyList_GET_SIZE(e->dh.sets);
-        if (db_sets <= 0 || (db_sets & (db_sets - 1)) || ways <= 0) {
-            PyErr_SetString(PyExc_ValueError, "hybrid: history geometry");
-            return -1;
-        }
-        if (st_alloc(&e->dh, db_sets, ways, 1) < 0)
-            return -1;
-        Py_ssize_t n_sets = e->l1pf_b.len;
-        e->pl_block = PyMem_Calloc(n_sets, sizeof(long long));
-        e->pl_ready = PyMem_Calloc(n_sets, sizeof(double));
-        e->pl_seq = PyMem_Calloc(n_sets, sizeof(unsigned long long));
-        if (e->pl_block == NULL || e->pl_ready == NULL || e->pl_seq == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        e->pl_next_seq = 1;
-    }
     if (e->model_icache && !e->have_fb) {
         PyErr_SetString(PyExc_ValueError, "model_icache without fb plane");
         return -1;
     }
-    if (e->tcp_fast && (e->pht_sets == NULL || e->tht_hist == NULL ||
-                        !e->have_thtsum)) {
-        PyErr_SetString(PyExc_ValueError, "tcp_fast without THT/PHT state");
+
+    PyObject *name = PyDict_GetItemString(spec, "trainer");
+    const char *tname = name != NULL ? PyUnicode_AsUTF8(name) : NULL;
+    if (tname == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_KeyError, "spec missing trainer");
         return -1;
     }
-    return 0;
+    e->trainer = -1;
+    for (int q = 0; TRAINER_NAMES[q] != NULL; q++) {
+        if (strcmp(tname, TRAINER_NAMES[q]) == 0)
+            e->trainer = q;
+    }
+    if (e->trainer < 0) {
+        PyErr_Format(PyExc_ValueError, "unknown trainer %s", tname);
+        return -1;
+    }
+    int tcp = e->trainer == TR_TCP || e->trainer == TR_TCP_STRIDE ||
+              e->trainer == TR_TCP_CONF || e->trainer == TR_TCP_LOOK ||
+              e->trainer == TR_HYBRID;
+    if (e->trainer != TR_ABSENT && e->pf_obj == NULL) {
+        PyErr_SetString(PyExc_ValueError, "trainer without its prefetcher");
+        return -1;
+    }
+    if (tcp &&
+        (e->pht_sets == NULL || e->tht_hist == NULL || !e->have_thtsum ||
+         !PyList_Check(e->tht_hist) ||
+         PyList_GET_SIZE(e->tht_hist) != e->l1pf_b.len ||
+         e->thtsum_b.len != e->l1pf_b.len * 8)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "TCP trainer without one THT row per L1 set");
+        return -1;
+    }
+    return trainer_init(e, spec);
 }
 
 static void
@@ -2502,7 +3298,6 @@ Engine_dealloc(EngineObject *e)
     Py_XDECREF(e->l2_sets);
     Py_XDECREF(e->pht_sets);
     Py_XDECREF(e->tht_hist);
-    Py_XDECREF(e->poisoned);
     Py_XDECREF(e->resident);
     Py_XDECREF(e->cacheline);
     Py_XDECREF(e->l1i_lookup);
@@ -2516,14 +3311,27 @@ Engine_dealloc(EngineObject *e)
     Py_XDECREF(e->ifetch_cb);
     Py_XDECREF(e->observe_cb);
     Py_XDECREF(e->evict_cb);
-    Py_XDECREF(e->dbcp_obj);
+    Py_XDECREF(e->pf_obj);
     Py_XDECREF(e->pb);
+    Py_XDECREF(e->sb_factory);
+    Py_XDECREF(e->det_obj);
+    Py_XDECREF(e->conf);
+    st_free(&e->rpt);
+    st_free(&e->mk);
     st_free(&e->dt);
     st_free(&e->dh);
     lm_free(&e->live);
     PyMem_Free(e->pl_block);
     PyMem_Free(e->pl_ready);
     PyMem_Free(e->pl_seq);
+    PyMem_Free(e->sb_next);
+    PyMem_Free(e->sb_use);
+    PyMem_Free(e->sb_valid);
+    PyMem_Free(e->det_last);
+    PyMem_Free(e->det_stride);
+    PyMem_Free(e->det_conf);
+    PyMem_Free(e->spec);
+    PyMem_Free(e->seen);
     PyMem_Free(e->heap);
     Py_TYPE(e)->tp_free((PyObject *)e);
 }
@@ -2531,7 +3339,7 @@ Engine_dealloc(EngineObject *e)
 static PyMethodDef Engine_methods[] = {
     {"step", (PyCFunction)Engine_step, METH_VARARGS,
      "step(i, limit, li, lc, nd, P, last_fb) -> (li, lc, nd, P, last_fb)\n"
-     "Run the scalar epilogue for accesses [i, limit)."},
+     "Run accesses [i, limit) of the trace."},
     {"sync_out", (PyCFunction)Engine_sync_out, METH_NOARGS,
      "Write mirrored component scalars and the flat prefetcher tables\n"
      "back to the live Python objects."},
@@ -2550,7 +3358,7 @@ static PyTypeObject EngineType = {
     .tp_basicsize = sizeof(EngineObject),
     .tp_itemsize = 0,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Compiled scalar epilogue operating on live simulator state.",
+    .tp_doc = "Compiled core loop: steps a trace through the simulator state.",
     .tp_new = PyType_GenericNew,
     .tp_init = (initproc)Engine_init,
     .tp_dealloc = (destructor)Engine_dealloc,
@@ -2560,7 +3368,7 @@ static PyTypeObject EngineType = {
 static struct PyModuleDef native_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_native",
-    .m_doc = "Compiled scalar epilogue for the native simulation backend.",
+    .m_doc = "Compiled core loop for the native simulation backend.",
     .m_size = -1,
 };
 
@@ -2592,6 +3400,16 @@ PyInit__native(void)
     INTERN(s_pending_l1, "_pending_l1");
     INTERN(s_live_signatures, "_live_signatures");
     INTERN(s_pending_death, "_pending_death_signature");
+    INTERN(s_last_block, "last_block");
+    INTERN(s_stride, "stride");
+    INTERN(s_state, "state");
+    INTERN(s_successors, "successors");
+    INTERN(s_streams, "_streams");
+    INTERN(s_next_block, "next_block");
+    INTERN(s_last_use, "last_use");
+    INTERN(s_det_state, "_state");
+    INTERN(s_previous_block, "_previous_block");
+    INTERN(s_confidence, "_confidence");
 #undef INTERN
     if (PyType_Ready(&EngineType) < 0)
         return NULL;
@@ -2604,7 +3422,7 @@ PyInit__native(void)
         Py_DECREF(m);
         return NULL;
     }
-    if (PyModule_AddIntConstant(m, "ABI_VERSION", 2) < 0) {
+    if (PyModule_AddIntConstant(m, "ABI_VERSION", 3) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -1,88 +1,115 @@
-"""Batch-stepping core loop with the *compiled* scalar epilogue.
+"""The compiled core loop: every access of the trace stepped in C.
 
-:class:`NativeCore` keeps the numpy engine's batch path verbatim —
-whole-trace planes, predicted-hit runs stepped as vectorised batches,
-post-hoc window/LSQ verification (see
-:mod:`repro.backend.vector.engine` for the full methodology) — and
-replaces the interpreted scalar epilogue with
-:class:`repro.backend.native._native.Engine`: a C extension that runs
-the flattened per-access miss path (lazy-deletion MSHR heap, THT
-running-sum history, PHT truncated-add indexing, L2 set probe/fill/
-LRU, prefetch issue) directly on the live Python containers, with the
-trace planes, L1D state, and completion/commit timelines shared as
-numpy buffers.  The C code performs the same IEEE double operations in
-the same order as the reference loop, so results stay bit-identical.
+:class:`NativeCore` hands each span of the trace — the accesses up to
+the next probe mark or the warmup boundary — to one ``Engine.step``
+call of :mod:`repro.backend.native._native`, which runs the reference
+loop's per-access state machine in C: dispatch and window/LSQ
+back-pressure, the direct-mapped L1D probe and fill, the MSHR file
+(lazy-deletion ready heap), the L2 probe/fill/LRU on the live
+``LRUSet`` dicts, buses, DRAM, prefetch issue and prefetcher training.
+The C code performs the same IEEE double operations in the same order
+as the reference loop, so results stay bit-identical.
 
-Scalar stretches are handed to C as *ranges*: every batch cut or
-predicted-miss cluster becomes one ``Engine.step(i, limit, ...)``
-call, so the per-access cost of the epilogue drops from ~3-6 µs of
-CPython interpretation to the C state machine plus one call per
-stretch.
+The trace reaches C as flat ndarray planes (L1 split, instruction
+counts, dispatch increments, L2 split, dependences, load flags, PCs,
+fetch blocks); the L1D lines and the completion/commit timelines are
+ndarrays shared with C as well.
 
-**DBCP and the hybrid** act on every access, hits included (DBCP
-extends a signature and probes its table; the hybrid attempts pending
-promotions and trains on promotion hits), so their runs skip the batch
-path and step each whole span in C.  Their state is flat in C: DBCP's
-signature table (ways in recency order), its live-signature map and
-pending death signature; the hybrid's per-set pending promotions, the
-L1 prefetched-bit plane, the timekeeping live-time table and the
-dedicated prefetch bus.  The Python objects (the ``LRUSet`` tables,
-``_live_signatures``, ``hierarchy._pending_l1``, ``CacheLine.prefetched``
-and every counter) are written at each probe mark and at the end of
-the run (``sync_out``) and reloaded after the probes ran (``sync_in``),
-so probes and the sanitizer see, and may change, exactly the state the
-reference loop would hold.  Reloading the 2 MB DBCP table costs a few
-milliseconds per mark.
+Every ``PREFETCHERS`` entry trains in C, chosen on the prefetcher's
+exact type (:func:`_trainer`).  The TCP family trains the live THT rows
+and PHT dicts; the confidence-filtered TCP's counters stay a live dict.
+The private tables of the other trainers are flat in C: the RPT, the
+stream buffers, the Markov table and its previous block, the stride
+detector, DBCP's signature table, live signatures and pending death
+signature, and the hybrid's pending promotions, timekeeping table and
+prefetch bus.  Those Python objects, and every counter, are written at
+each probe mark and at the end of the run (``sync_out``) and reloaded
+after the probes ran (``sync_in``), so probes and the sanitizer see,
+and may change, exactly the state the reference loop would hold.
 
 Python re-entries left, counted by kind in ``engine_stats``
 (``callbacks_*``): instruction fetches that miss the L1I-resident set,
-L1I recency refreshes, and, for prefetchers other than the TCP fast
-path, DBCP and the hybrid, ``observe_miss`` and eviction hooks.
+L1I recency refreshes, eviction hooks of custom observers, and
+``observe_miss`` for prefetchers without a C trainer — subclasses and
+unknown types, whose overridden hooks C cannot know.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import time
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.backend.native import build
-from repro.backend.vector.engine import (
-    DEFAULT_VECTOR_MIN,
-    VECTOR_RECURRENCE_MIN,
-    _engine_stats,
-    _trace_planes,
-)
 from repro.core.hybrid import HybridTCP
 from repro.core.indexing import IndexFunction
 from repro.core.tcp import TagCorrelatingPrefetcher
+from repro.core.variants import (
+    ConfidenceFilteredTCP,
+    LookaheadTCP,
+    MultiTargetTCP,
+    StrideFilteredTCP,
+)
 from repro.cpu.core import CoreParams, CoreResult
 from repro.engine.events import EvictionEvent, MissEvent
 from repro.engine.probes import CoreMark, Probe, resolve_probes
 from repro.memory.cache import CacheLine
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.prefetchers.dbcp import DeadBlockCorrelatingPrefetcher
+from repro.prefetchers.markov import MarkovPrefetcher, _MarkovEntry
+from repro.prefetchers.nextline import NextLinePrefetcher
+from repro.prefetchers.null import NullPrefetcher
+from repro.prefetchers.stream import StreamBufferPrefetcher, _Stream
+from repro.prefetchers.stride import StridePrefetcher, _RPTEntry
 from repro.util.bitops import index_geometry
 from repro.workloads.trace import Trace
 
 __all__ = ["NativeCore"]
 
+#: the C trainer of each exact prefetcher type; subclasses keep the
+#: Python ``observe_miss`` callback.
+_TRAINERS = {
+    NullPrefetcher: "null",
+    NextLinePrefetcher: "nextline",
+    StridePrefetcher: "stride",
+    StreamBufferPrefetcher: "stream",
+    MarkovPrefetcher: "markov",
+    DeadBlockCorrelatingPrefetcher: "dbcp",
+    TagCorrelatingPrefetcher: "tcp",
+    MultiTargetTCP: "tcp",
+    StrideFilteredTCP: "tcp-stride",
+    ConfidenceFilteredTCP: "tcp-conf",
+    LookaheadTCP: "tcp-look",
+    HybridTCP: "hybrid",
+}
 
-def _native_dbcp(prefetcher: object) -> bool:
-    """The exact DBCP, whose signatures fit the C engine's 64-bit words."""
-    return (
-        type(prefetcher) is DeadBlockCorrelatingPrefetcher
-        and prefetcher.config.signature_bits < 64
-    )
+_TCP_TRAINERS = ("tcp", "tcp-stride", "tcp-conf", "tcp-look", "hybrid")
 
 
-def _native_hybrid(prefetcher: object) -> bool:
-    """The exact hybrid, whose TCP training takes the compiled fast path."""
-    return (
-        type(prefetcher) is HybridTCP
-        and prefetcher.pht.config.index_function is IndexFunction.TRUNCATED_ADD
-    )
+def _trainer(hierarchy: MemoryHierarchy) -> str:
+    """Name of the C trainer for this run's prefetcher.
+
+    ``"absent"`` without a prefetcher, ``"callback"`` when C has no
+    trainer for it.  The TCP family needs the truncated-add PHT index
+    and one THT row (and stride-detector set) per L1 set; DBCP needs
+    signatures that fit a 64-bit word.
+    """
+    prefetcher = hierarchy.prefetcher
+    if prefetcher is None:
+        return "absent"
+    name = _TRAINERS.get(type(prefetcher), "callback")
+    if name in _TCP_TRAINERS:
+        n_sets = hierarchy.params.l1d.sets
+        if (
+            prefetcher.pht.config.index_function is not IndexFunction.TRUNCATED_ADD
+            or prefetcher.tht.rows != n_sets
+            or (name == "tcp-stride" and prefetcher.detector.sets != n_sets)
+        ):
+            return "callback"
+    if name == "dbcp" and prefetcher.config.signature_bits >= 64:
+        return "callback"
+    return name
 
 
 def _fallback_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
@@ -93,37 +120,107 @@ def _fallback_reason(hierarchy: MemoryHierarchy) -> Optional[str]:
     may override hooks the C engine does not call, so they stay on the
     reference loop.
     """
-    prefetcher = hierarchy.prefetcher
     if hierarchy._l1_lines is None:
         return "set-associative L1D"
-    if hierarchy._needs_access and not _native_dbcp(prefetcher):
+    trainer = _trainer(hierarchy)
+    if hierarchy._needs_access and trainer != "dbcp":
         return "prefetcher observes the access stream"
-    if hierarchy._promotions_enabled and not _native_hybrid(prefetcher):
+    if hierarchy._promotions_enabled and trainer != "hybrid":
         return "gated L1 promotions"
     if hierarchy.l2d._direct_mapped:
         return "direct-mapped L2"
     return None
 
 
+def _trainer_spec(trainer: str, prefetcher, hierarchy: MemoryHierarchy) -> dict:
+    """The spec entries of a trainer's private state (see ``_native.c``)."""
+    if trainer == "nextline":
+        return {"degree": prefetcher.degree}
+    if trainer == "stride":
+        cfg = prefetcher.config
+        return {"degree": cfg.lookahead, "ways": cfg.ways,
+                "table": prefetcher._sets, "entry": _RPTEntry}
+    if trainer == "stream":
+        cfg = prefetcher.config
+        return {"buffers": cfg.buffers, "depth": cfg.depth, "entry": _Stream}
+    if trainer == "markov":
+        cfg = prefetcher.config
+        return {"targets": cfg.targets, "ways": cfg.ways,
+                "table": prefetcher._sets, "entry": _MarkovEntry}
+    if trainer == "tcp-stride":
+        return {"detector": prefetcher.detector,
+                "depth": prefetcher.detector.depth}
+    if trainer == "tcp-conf":
+        return {"threshold": prefetcher.threshold, "maximum": prefetcher.maximum}
+    if trainer == "tcp-look":
+        return {"degree": prefetcher.degree}
+    if trainer == "dbcp":
+        cfg = prefetcher.config
+        return {"ways": cfg.ways, "table": prefetcher._table,
+                "dbcp_shift": cfg.sets.bit_length() - 1,
+                "sig_mask": prefetcher._sig_mask}
+    if trainer == "hybrid":
+        deadblock = prefetcher.deadblock
+        bcfg = deadblock.config
+        return {"ways": bcfg.ways, "table": deadblock._history,
+                "dead_factor": float(bcfg.dead_factor),
+                "default_idle": float(bcfg.default_idle_threshold),
+                "min_idle": float(bcfg.min_idle),
+                "ttl": float(hierarchy.params.promotion_ttl)}
+    return {}
+
+
+def _trace_planes(trace: Trace, hierarchy: MemoryHierarchy, dispatch_rate: float) -> dict:
+    """The read-only ndarray planes ``Engine.step`` reads, one per column."""
+    hp = hierarchy.params
+    blocks, indices, tags = hp.l1d.decompose_array(trace.addrs)
+    steps = trace.gaps.astype(np.int64) + 1
+    l2b = blocks >> hierarchy._l2_shift
+    fb = None
+    if hp.model_icache:
+        fb = (trace.pcs >> np.uint64(hp.l1i.offset_bits)).astype(np.int64)
+    return {
+        "idx": indices,
+        "instr": np.cumsum(steps),  # int64: exact
+        "blocks": blocks,
+        "tags": tags,
+        "deps": np.ascontiguousarray(trace.deps, dtype=np.int64),
+        "load": trace.is_load.astype(bool).view(np.uint8),
+        "incs": steps.astype(np.float64) / dispatch_rate,
+        "l2i": np.ascontiguousarray(l2b & hierarchy._l2_index_mask),
+        "l2t": np.ascontiguousarray(l2b >> hierarchy._l2_index_bits),
+        "pcs": np.ascontiguousarray(trace.pcs, dtype=np.uint64),
+        "fb": fb,
+    }
+
+
+def _engine_stats() -> dict:
+    """Per-run accounting: accesses stepped in C, time per layer in ns
+    (plane build, the C loop, boundary syncs), Python re-entries."""
+    return {
+        "scalar_accesses": 0,
+        "planes_ns": 0,
+        "epilogue_ns": 0,
+        "sync_ns": 0,
+        "callbacks_ifetch": 0,
+        "callbacks_l1i_lookup": 0,
+        "callbacks_observe_miss": 0,
+        "callbacks_evict": 0,
+    }
+
+
 class NativeCore:
-    """Bit-exact core: batch path plus compiled epilogue, or whole-trace C.
+    """Bit-exact core loop stepping the whole trace in C.
 
     Valid for a direct-mapped L1D and a set-associative L2, with any
     prefetcher except access-stream observers and gated promotions
     other than the exact DBCP and hybrid classes (see
-    :func:`_fallback_reason`).  The TCP variants and the non-TCP
-    prefetchers still train through a Python ``observe_miss`` callback
-    per miss.  Requires the ``_native`` extension to be importable (see
-    :mod:`repro.backend.native.build`).
+    :func:`_fallback_reason`).  Requires the ``_native`` extension to
+    be importable (see :mod:`repro.backend.native.build`).
     """
 
-    def __init__(
-        self, params: CoreParams = CoreParams(), vector_min: int = DEFAULT_VECTOR_MIN
-    ) -> None:
-        if vector_min < 2:
-            raise ValueError(f"vector_min must be at least 2, got {vector_min}")
+    def __init__(self, params: CoreParams = CoreParams()) -> None:
         self.params = params
-        self.vector_min = vector_min
         self.engine_stats = _engine_stats()
 
     def run(
@@ -152,48 +249,12 @@ class NativeCore:
             )
         active_probes = resolve_probes(None, 2048, None, probes)
         stats = self.engine_stats = _engine_stats()
-        stats["epilogue_ns"] = 0
-        # Python re-entries by kind: full instruction fetches, L1I
-        # recency refreshes, generic observe_miss hooks, eviction hooks.
-        for kind in ("ifetch", "l1i_lookup", "observe_miss", "evict"):
-            stats["callbacks_" + kind] = 0
-
-        # ---- whole-trace planes (shared with the numpy backend) -----
-        geometry = hierarchy.params.l1d
-        planes = _trace_planes(trace, hierarchy)
-        indices_arr = planes["indices_arr"]
-        instr_arr = planes["instr_arr"]
-        load_arr = planes["load_arr"]
-        store_arr = planes["store_arr"]
-        arange_f = planes["arange_f"]
-        miss_pos = planes["miss_pos"]
-        n_miss = len(miss_pos)
-        dep_nz = planes["dep_nz"]
-        n_dep_nz = len(dep_nz)
-        instr_l = planes["instr_l"]
-        deps_l = planes["deps_l"]
-        load_l = planes["load_l"]
-        pcs_l = planes["pcs_l"]
+        t_planes = time.perf_counter_ns()
 
         dispatch_rate = min(float(params.issue_width), trace.base_ipc)
-        cached_incs = planes["incs"].get(dispatch_rate)
-        if cached_incs is None:
-            incs_arr = planes["steps_f"] / dispatch_rate
-            cached_incs = (incs_arr, incs_arr.tolist())
-            planes["incs"][dispatch_rate] = cached_incs
-        incs_arr, _ = cached_incs
-
+        planes = _trace_planes(trace, hierarchy, dispatch_rate)
+        instr_arr = planes["instr"]
         model_icache = hierarchy.params.model_icache
-        if model_icache:
-            fb_l = planes["fb_l"]
-            if fb_l[0] == hierarchy._last_ifetch_block:
-                change_pos = planes["change_rest"]
-            else:
-                change_pos = [0] + planes["change_rest"]
-        else:
-            fb_l = []
-            change_pos = []
-        n_changes = len(change_pos)
 
         # Full-length completion/commit timelines, shared with C.
         completions_np = np.zeros(n, dtype=np.float64)
@@ -201,7 +262,7 @@ class NativeCore:
 
         # ---- L1D state planes + L1I residency -----------------------
         l1_lines = hierarchy._l1_lines
-        n_sets = geometry.sets
+        n_sets = hierarchy.params.l1d.sets
         tag_arr = np.full(n_sets, -1, dtype=np.int64)
         la_arr = np.zeros(n_sets, dtype=np.float64)
         dirty_arr = np.zeros(n_sets, dtype=np.uint8)
@@ -214,13 +275,10 @@ class NativeCore:
                 dirty_arr[s2] = line.dirty
                 ft_arr[s2] = line.fill_time
                 pf_arr[s2] = line.prefetched
-        poisoned: set = set()
 
         l1i = hierarchy.l1i
-        l1i_lookup = l1i.lookup
         l1i_bits, l1i_mask = index_geometry(hierarchy.params.l1i.sets)
         resident: set = set()  # L1I-resident fetch blocks (shared with C)
-        last_fb = hierarchy._last_ifetch_block
 
         hier_stats = hierarchy.stats
         hp = hierarchy.params
@@ -230,29 +288,32 @@ class NativeCore:
         l1_ib = hierarchy._l1_index_bits
 
         prefetcher = hierarchy.prefetcher
-        needs_evict = hierarchy._needs_evict
-        observe_evict = prefetcher.observe_eviction if prefetcher else None
-        observe_miss = prefetcher.observe_miss if prefetcher else None
-        # DBCP and the hybrid act on every access, hits included, so
-        # their runs skip the batch path and step the whole trace in C.
-        dbcp = _native_dbcp(prefetcher)
-        hybrid = _native_hybrid(prefetcher)
-        pstats = prefetcher.stats if prefetcher else None
-        whole_trace = dbcp or hybrid
-        tcp_fast = hybrid or (
-            type(prefetcher) is TagCorrelatingPrefetcher
-            and prefetcher.pht.config.index_function is IndexFunction.TRUNCATED_ADD
-            and not prefetcher.into_l1
-        )
-        if tcp_fast:
+        trainer = _trainer(hierarchy)
+        native_trained = trainer not in ("absent", "callback")
+        tcp = trainer in _TCP_TRAINERS
+        spec = {
+            "trainer": trainer,
+            "pf": prefetcher,
+            "into_l1": int(trainer == "hybrid" and prefetcher.into_l1),
+            "pb": hierarchy.prefetch_bus,
+            "pht_sets": None,
+            "tht_hist": None,
+            "tht_sums": None,
+            "seq_mask": 0,
+            "miss_mask": 0,
+            "n_bits": 0,
+            "tht_ib": 0,
+            "pht_ways": 0,
+            "pht_targets": 0,
+        }
+        tht_sums_arr = None
+        if tcp:
             tht = prefetcher.tht
             pht = prefetcher.pht
             tht_hist = tht._history
-            tht_sums_arr = np.array(
-                [sum(r_) for r_ in tht_hist], dtype=np.int64
-            )
+            tht_sums_arr = np.array([sum(r_) for r_ in tht_hist], dtype=np.int64)
             scheme = pht._scheme
-            spec_tcp = {
+            spec.update({
                 "pht_sets": pht._sets,
                 "tht_hist": tht_hist,
                 "tht_sums": tht_sums_arr,
@@ -262,65 +323,10 @@ class NativeCore:
                 "tht_ib": tht.index_bits,
                 "pht_ways": pht.config.ways,
                 "pht_targets": pht.config.targets,
-            }
-        else:
-            tht_hist = None
-            tht_sums_arr = None
-            spec_tcp = {
-                "pht_sets": None,
-                "tht_hist": None,
-                "tht_sums": None,
-                "seq_mask": 0,
-                "miss_mask": 0,
-                "n_bits": 0,
-                "tht_ib": 0,
-                "pht_ways": 0,
-                "pht_targets": 0,
-            }
-        spec_pf = {
-            "dbcp": int(dbcp),
-            "dbcp_obj": None,
-            "dbcp_sets": None,
-            "pcs": None,
-            "hybrid": int(hybrid),
-            "into_l1": int(hybrid and prefetcher.into_l1),
-            "db_sets": None,
-            "pb": hierarchy.prefetch_bus,
-        }
-        if dbcp:
-            dcfg = prefetcher.config
-            spec_pf.update({
-                "dbcp_obj": prefetcher,
-                "dbcp_sets": prefetcher._table,
-                "dbcp_ways": dcfg.ways,
-                "dbcp_shift": dcfg.sets.bit_length() - 1,
-                "sig_mask": prefetcher._sig_mask,
-                "pcs": np.ascontiguousarray(trace.pcs, dtype=np.uint64),
             })
-        if hybrid:
-            deadblock = prefetcher.deadblock
-            bcfg = deadblock.config
-            spec_pf.update({
-                "db_sets": deadblock._history,
-                "db_ways": bcfg.ways,
-                "dead_factor": float(bcfg.dead_factor),
-                "default_idle": float(bcfg.default_idle_threshold),
-                "min_idle": float(bcfg.min_idle),
-                "ttl": float(hp.promotion_ttl),
-            })
-
-        spec = {
-            # trace planes
-            "idx": indices_arr,
-            "instr": instr_arr,
-            "blocks": planes["blocks_arr"],
-            "tags": planes["tags_arr"],
-            "deps": planes["deps_arr"],
-            "load": load_arr.view(np.uint8),
-            "incs": incs_arr,
-            "l2i": planes["l2i_arr"],
-            "l2t": planes["l2t_arr"],
-            "fb": planes["fb_arr"] if model_icache else None,
+        spec.update(_trainer_spec(trainer, prefetcher, hierarchy))
+        spec.update(planes)
+        spec.update({
             # timelines + L1 planes
             "completions": completions_np,
             "commits": commits_np,
@@ -335,10 +341,9 @@ class NativeCore:
             "pf_inflight": hierarchy._pf_inflight,
             "l2_entries": l2_entries,
             "l2_sets": l2_sets,
-            "poisoned": poisoned,
             "resident": resident,
             "cacheline": CacheLine,
-            "l1i_lookup": l1i_lookup,
+            "l1i_lookup": l1i.lookup,
             "ab": hierarchy.l1l2_addr_bus,
             "db": hierarchy.l1l2_data_bus,
             "mab": hierarchy.mem_addr_bus,
@@ -372,23 +377,20 @@ class NativeCore:
             "lru_pf": int(hp.prefetch_insert_policy == "lru"),
             "ideal_l2": int(hierarchy._ideal_l2),
             "model_icache": int(model_icache),
-            "tcp_fast": int(tcp_fast),
-            "has_prefetcher": int(prefetcher is not None),
-            "needs_evict": int(needs_evict),
-        }
-        spec.update(spec_tcp)
-        spec.update(spec_pf)
+            "needs_evict": int(hierarchy._needs_evict),
+        })
         eng = native.Engine(spec)
 
         ifetch = hierarchy.instruction_fetch
+        observe_miss = prefetcher.observe_miss if prefetcher else None
+        observe_evict = prefetcher.observe_eviction if prefetcher else None
 
-        def ifetch_cb(nd_now: float, i_now: int) -> float:
-            # The hierarchy's sequential-fetch tracker is stale (batched
-            # and compiled steps bypass it); clear it so the real fetch
-            # never early-outs.  Component state was synced by C.
+        def ifetch_cb(nd_now: float, pc: int, fb: int) -> float:
+            # The hierarchy's sequential-fetch tracker is stale (C steps
+            # bypass it); clear it so the real fetch never early-outs.
+            # Component state was synced by C.
             hierarchy._last_ifetch_block = -1
-            pen = ifetch(nd_now, pcs_l[i_now])
-            fb = fb_l[i_now]
+            pen = ifetch(nd_now, pc)
             ii = fb & l1i_mask
             keep = [b for b in resident if (b & l1i_mask) != ii]
             resident.clear()
@@ -397,10 +399,8 @@ class NativeCore:
                 resident.add((ln.tag << l1i_bits) | ii)
             return pen
 
-        def observe_cb(s, tag, block, i_now, store, v):
-            requests = observe_miss(
-                MissEvent(s, tag, block, pcs_l[i_now], store, v)
-            )
+        def observe_cb(s, tag, block, pc, store, v):
+            requests = observe_miss(MissEvent(s, tag, block, pc, store, v))
             if not requests:
                 return None
             return [req.block for req in requests]
@@ -411,19 +411,18 @@ class NativeCore:
             )
 
         eng.set_callbacks(ifetch_cb, observe_cb, evict_cb)
+        t_sync = time.perf_counter_ns()
+        stats["planes_ns"] = t_sync - t_planes
         eng.sync_in()
+        stats["sync_ns"] += time.perf_counter_ns() - t_sync
 
         # ---- core loop state ----------------------------------------
         window = params.window
-        lsq = params.lsq
-        ls_s = 1.0 / params.ls_units
-        inv_cr = 1.0 / float(params.issue_width)
-        l1_lat = hierarchy._l1_latency
-        l1_lat_f = float(l1_lat)
         nd = float(params.frontend_depth)
         li = 0.0
         lc = 0.0
         P = 0
+        last_fb = hierarchy._last_ifetch_block
         warmup_instr = 0
         warmup_commit = 0.0
         warmup_pending = bool(warmup)
@@ -435,32 +434,13 @@ class NativeCore:
             mark_interval = 0
             next_mark = n + 1
 
-        # Batch-path stat deltas (the compiled epilogue keeps its own;
-        # both are flushed together at every span boundary).
-        dc = ldc = stc = hc = ifc = 0
-
         def flush_stats() -> None:
-            nonlocal dc, ldc, stc, hc, ifc
-            if dc:
-                hier_stats.demand_accesses += dc
-                hier_stats.loads += ldc
-                hier_stats.stores += stc
-                hier_stats.l1_hits += hc
-                dc = ldc = stc = hc = 0
-            if ifc:
-                hier_stats.ifetch_accesses += ifc
-                ifc = 0
             d = eng.take_stats()
-            if d["demand"]:
-                hier_stats.demand_accesses += d["demand"]
-                hier_stats.loads += d["loads"]
-                hier_stats.stores += d["stores"]
-                hier_stats.l1_hits += d["hits"]
-            if d["ifetch"]:
-                hier_stats.ifetch_accesses += d["ifetch"]
-            # Prefetches and promotions also happen on hits (DBCP's
-            # access stream, the hybrid's promotions), so every counter
-            # is flushed, not only after a miss.
+            hier_stats.demand_accesses += d["demand"]
+            hier_stats.loads += d["loads"]
+            hier_stats.stores += d["stores"]
+            hier_stats.l1_hits += d["hits"]
+            hier_stats.ifetch_accesses += d["ifetch"]
             hier_stats.l1_misses += d["l1m"]
             hier_stats.l2_demand_accesses += d["l2a"]
             hier_stats.l2_demand_hits += d["l2h"]
@@ -478,19 +458,27 @@ class NativeCore:
             hier_stats.prefetch_evicted_unused += d["pfev"]
             hier_stats.l1_promotions += d["l1p"]
             hier_stats.l1_promotion_hits += d["l1ph"]
-            if tcp_fast or dbcp:
+            if native_trained:
+                pstats = prefetcher.stats
                 pstats.lookups += d["pfl"]
                 pstats.updates += d["pfu"]
                 pstats.predictions += d["pfp"]
-            if tcp_fast:
+            if tcp:
                 tht.reads += d["tl"]
                 tht.pushes += d["tp"]
                 pht.updates += d["pu"]
                 pht.lookups += d["pl"]
                 pht.hits += d["ph"]
-            if dbcp:
+            if trainer == "tcp-stride":
+                prefetcher.stride_predictions += d["sp"]
+                prefetcher.detector.observations += d["dobs"]
+                prefetcher.detector.strided_hits += d["dhits"]
+            elif trainer == "tcp-conf":
+                prefetcher.suppressed += d["sup"]
+            elif trainer == "dbcp":
                 prefetcher.dead_predictions += d["dead"]
-            if hybrid:
+            elif trainer == "hybrid":
+                deadblock = prefetcher.deadblock
                 prefetcher.promotions_approved += d["pa"]
                 prefetcher.promotions_denied += d["pd"]
                 deadblock.queries += d["dq"]
@@ -504,11 +492,11 @@ class NativeCore:
             # every primary miss; mirroring at the flush is idempotent.
             hier_stats.mshr_full_stalls = d["mshr_full_stalls"]
             stats["scalar_accesses"] += d["sc"]
-            if d["poisoned_peak"] > stats["poisoned_sets_peak"]:
-                stats["poisoned_sets_peak"] = d["poisoned_peak"]
             stats["epilogue_ns"] = d["epi_ns"]
 
-        def sync_planes() -> None:
+        def sync_out() -> None:
+            # Counters, the L1D lines and C's flat state -> Python.
+            flush_stats()
             tl_ = tag_arr.tolist()
             lal_ = la_arr.tolist()
             ftl_ = ft_arr.tolist()
@@ -530,290 +518,54 @@ class NativeCore:
                     line.last_access = lal_[s2]
                     line.dirty = bool(dl_[s2])
                     line.prefetched = bool(pfl_[s2])
+            eng.sync_out()
 
-        def reload_derived() -> None:
-            # Mirrors VectorCore.load_shared's derived-cache rebuilds:
-            # probes may have mutated the live containers, so the per-
-            # set dict cache and THT running sums are recomputed (in
-            # place — the C engine holds references to both).
+        def sync_in() -> None:
+            # Probes may have mutated the live containers: C reloads its
+            # mirrors, and the per-set dict cache and THT running sums
+            # are rebuilt in place (C holds references to both).
             eng.sync_in()
             l2_entries[:] = [lru_._entries for lru_ in l2_sets]
-            if tcp_fast:
+            if tcp:
                 tht_sums_arr[:] = [sum(r_) for r_ in tht_hist]
 
-        vec_min = self.vector_min
-        vec_ok = True
-        vec_fails = 0
-        m_ptr = 0
-        no_vec_until = 0
         i = 0
-
         while True:
             stop = n
             if warmup_pending and i < warmup:
                 stop = warmup
             if next_mark < stop:
                 stop = next_mark
-
-            # ================= span [i, stop) ========================
-            if whole_trace:
-                li, lc, nd, P, last_fb = eng.step(i, stop, li, lc, nd, P, last_fb)
-                i = stop
-            while i < stop:
-                # ---- batch attempt (identical to VectorCore) ----
-                if i >= no_vec_until:
-                    while m_ptr < n_miss and miss_pos[m_ptr] < i:
-                        m_ptr += 1
-                    r0 = miss_pos[m_ptr] if m_ptr < n_miss else n
-                    if r0 > stop:
-                        r0 = stop
-                    if poisoned and r0 - i >= vec_min:
-                        bad = np.isin(
-                            indices_arr[i:r0],
-                            np.fromiter(poisoned, dtype=np.int64, count=len(poisoned)),
-                        )
-                        if bad.any():
-                            r0 = i + int(np.argmax(bad))
-                    seg_changes = []
-                    ifetch_cut = False
-                    if model_icache and r0 - i >= vec_min:
-                        a = bisect_left(change_pos, i)
-                        while a < n_changes:
-                            pos = change_pos[a]
-                            if pos >= r0:
-                                break
-                            if fb_l[pos] not in resident:
-                                r0 = pos
-                                ifetch_cut = True
-                                break
-                            seg_changes.append(pos)
-                            a += 1
-                    if r0 - i >= vec_min:
-                        p = i
-                        seg = r0 - p
-                        d = incs_arr[p:r0].copy()
-                        d[0] += nd
-                        np.cumsum(d, out=d)
-                        d_l = d.tolist()
-                        li0 = li
-                        lc0 = lc
-                        done_vec = False
-                        if vec_ok and seg >= VECTOR_RECURRENCE_MIN:
-                            a2 = bisect_left(dep_nz, p)
-                            if a2 >= n_dep_nz or dep_nz[a2] >= r0:
-                                off = arange_f[:seg] * ls_s
-                                u = d - off
-                                seed = li + ls_s
-                                if seed > u[0]:
-                                    u[0] = seed
-                                np.maximum.accumulate(u, out=u)
-                                iss_v = u + off
-                                comp_v = iss_v + np.where(
-                                    load_arr[p:r0], l1_lat_f, 1.0
-                                )
-                                chk = np.empty(seg)
-                                chk[0] = li
-                                chk[1:] = iss_v[:-1]
-                                chk += ls_s
-                                np.maximum(chk, d, out=chk)
-                                if np.array_equal(iss_v, chk):
-                                    offc = arange_f[:seg] * inv_cr
-                                    uc = comp_v - offc
-                                    seedc = lc + inv_cr
-                                    if seedc > uc[0]:
-                                        uc[0] = seedc
-                                    np.maximum.accumulate(uc, out=uc)
-                                    cmt_v = uc + offc
-                                    chk[0] = lc
-                                    chk[1:] = cmt_v[:-1]
-                                    chk += inv_cr
-                                    np.maximum(chk, comp_v, out=chk)
-                                    if np.array_equal(cmt_v, chk):
-                                        iss_seg = iss_v.tolist()
-                                        comp_seg = comp_v.tolist()
-                                        cmt_seg = cmt_v.tolist()
-                                        li = iss_seg[-1]
-                                        lc = cmt_seg[-1]
-                                        done_vec = True
-                                        stats["vector_batches"] += 1
-                                if not done_vec:
-                                    vec_fails += 1
-                                    stats["vector_fallbacks"] += 1
-                                    if vec_fails >= 2:
-                                        vec_ok = False
-                        if not done_vec:
-                            dep_seg = deps_l[p:r0]
-                            load_seg = load_l[p:r0]
-                            iss_seg = []
-                            comp_seg = []
-                            cmt_seg = []
-                            ap_i = iss_seg.append
-                            ap_c = comp_seg.append
-                            ap_m = cmt_seg.append
-                            for j in range(seg):
-                                v = li + ls_s
-                                dv = d_l[j]
-                                if dv > v:
-                                    v = dv
-                                dep = dep_seg[j]
-                                if dep:
-                                    jj = j - dep
-                                    c = (
-                                        comp_seg[jj]
-                                        if jj >= 0
-                                        else float(completions_np[p + jj])
-                                    )
-                                    if c > v:
-                                        v = c
-                                li = v
-                                ap_i(v)
-                                if load_seg[j]:
-                                    c = v + l1_lat
-                                else:
-                                    c = v + 1.0
-                                ap_c(c)
-                                m = lc + inv_cr
-                                if c > m:
-                                    m = c
-                                lc = m
-                                ap_m(m)
-                        if done_vec:
-                            commits_np[p:r0] = cmt_v
-                        else:
-                            commits_np[p:r0] = cmt_seg
-                        floors = instr_arr[p:r0] - window
-                        js = np.searchsorted(instr_arr[:r0], floors, side="right")
-                        js -= 1
-                        prev = np.empty(seg, dtype=np.int64)
-                        prev[0] = P - 1
-                        prev[1:] = js[:-1]
-                        np.maximum(prev, P - 1, out=prev)
-                        elig = js > prev
-                        cut = seg
-                        cut_kind = 0
-                        if elig.any():
-                            cand = np.flatnonzero(elig)
-                            lifted = commits_np[js[cand]] > d[cand]
-                            if lifted.any():
-                                cut = int(cand[np.argmax(lifted)])
-                                cut_kind = 1
-                        j0 = lsq if p < lsq else p
-                        if j0 < r0:
-                            lsq_viol = commits_np[j0 - lsq : r0 - lsq] > d[j0 - p :]
-                            if lsq_viol.any():
-                                lcut = (j0 - p) + int(np.argmax(lsq_viol))
-                                if lcut < cut:
-                                    cut = lcut
-                                    cut_kind = 2
-                        if cut == 0:
-                            li = li0
-                            lc = lc0
-                            no_vec_until = p + 1
-                            if cut_kind == 1:
-                                stats["batch_cuts_window"] += 1
-                            else:
-                                stats["batch_cuts_lsq"] += 1
-                            continue
-                        k = cut
-                        r = p + k
-                        completions_np[p:r] = comp_seg[:k]
-                        commits_np[p:r] = cmt_seg[:k]
-                        if k < seg:
-                            li = iss_seg[k - 1]
-                            lc = cmt_seg[k - 1]
-                            no_vec_until = r + 1
-                            if cut_kind == 1:
-                                stats["batch_cuts_window"] += 1
-                            else:
-                                stats["batch_cuts_lsq"] += 1
-                        elif ifetch_cut:
-                            no_vec_until = r + 1
-                            stats["batch_cuts_ifetch"] += 1
-                        nd = d_l[k - 1]
-                        P_new = int(js[k - 1]) + 1
-                        if P_new > P:
-                            P = P_new
-                        # ---- state planes + stats ---------------
-                        si = indices_arr[p:r]
-                        iss_np = iss_v[:k] if done_vec else np.asarray(iss_seg[:k])
-                        # Fancy assignment with duplicate indices keeps
-                        # the LAST value per index — the last touch each
-                        # set needs (plane arrays are shared with C, so
-                        # the write is direct).
-                        la_arr[si] = iss_np
-                        smask = store_arr[p:r]
-                        nst = int(np.count_nonzero(smask))
-                        if nst:
-                            dirty_arr[si[smask]] = 1
-                        dc += k
-                        hc += k
-                        stc += nst
-                        ldc += k - nst
-                        if seg_changes:
-                            touched = {}
-                            ch = 0
-                            for pos in seg_changes:
-                                if pos >= r:
-                                    break
-                                touched[fb_l[pos]] = pos
-                                ch += 1
-                            if ch:
-                                ifc += ch
-                                for b, pos in sorted(
-                                    touched.items(), key=lambda kv: kv[1]
-                                ):
-                                    l1i_lookup(
-                                        b & l1i_mask, b >> l1i_bits, False, d_l[pos - p]
-                                    )
-                        if model_icache:
-                            last_fb = fb_l[r - 1]
-                        stats["batched_accesses"] += k
-                        stats["batches"] += 1
-                        i = r
-                        continue
-                    # Short run: the whole stretch up to (and including)
-                    # the predicted miss goes through the compiled
-                    # epilogue as one range.
-                    no_vec_until = r0 + 1 if r0 < stop else r0
-                    if no_vec_until <= i:
-                        no_vec_until = i + 1
-
-                # ---- compiled scalar epilogue: one range --------
-                limit = no_vec_until if no_vec_until > i else i + 1
-                if limit > stop:
-                    limit = stop
-                li, lc, nd, P, last_fb = eng.step(
-                    i, limit, li, lc, nd, P, last_fb
-                )
-                i = limit
-
-            # ================= span boundary =========================
+            li, lc, nd, P, last_fb = eng.step(i, stop, li, lc, nd, P, last_fb)
+            i = stop
             if i == next_mark:
-                flush_stats()
-                sync_planes()
-                eng.sync_out()
+                t_sync = time.perf_counter_ns()
+                sync_out()
+                stats["sync_ns"] += time.perf_counter_ns() - t_sync
                 next_mark += mark_interval
                 mark = CoreMark(i, n, i - P, window, lc, nd)
                 for probe in active_probes:
                     probe.on_mark(mark, hierarchy)
-                # Re-read the mirrored scalars: a probe-side fault
+                # Re-read the mirrored state: a probe-side fault
                 # injection may have rewritten component state, and the
                 # reference loop would observe that immediately.
-                reload_derived()
+                t_sync = time.perf_counter_ns()
+                sync_in()
+                stats["sync_ns"] += time.perf_counter_ns() - t_sync
             if warmup_pending and i == warmup:
                 warmup_pending = False
                 flush_stats()
-                warmup_instr = instr_l[warmup - 1]
+                warmup_instr = int(instr_arr[warmup - 1])
                 warmup_commit = lc
                 hierarchy.mark_warmup_end()
             if i >= n:
                 break
 
-        flush_stats()
-        sync_planes()
-        eng.sync_out()
+        t_sync = time.perf_counter_ns()
+        sync_out()
+        stats["sync_ns"] += time.perf_counter_ns() - t_sync
         total_instructions = trace.instruction_count
-        trailing = total_instructions - instr_l[n - 1]
+        trailing = total_instructions - int(instr_arr[n - 1])
         measured_instructions = total_instructions - warmup_instr
         cycles = lc + trailing / dispatch_rate - warmup_commit
         return CoreResult(measured_instructions, cycles, n - warmup)

@@ -13,18 +13,20 @@ across machines even though raw accesses/sec are not.
 
 Methodology notes:
 
-* Arms share one trace object, so the batch engines' per-trace plane
+* Arms share one trace object, so the numpy engine's per-trace plane
   cache (:mod:`repro.backend.vector.engine`) is warm after the first
   repeat — the reported number is steady-state throughput, matching
   how campaigns re-simulate one trace under many configurations.
-* Each cell records every contender's batch coverage (the fraction of
-  accesses stepped in batches).  Coverage is the speedup's ceiling:
-  accesses outside a batch run through the scalar epilogue.
-* The ``native`` engine times its compiled epilogue internally
+* Each numpy cell records the batch coverage (the fraction of accesses
+  stepped in batches).  Coverage is the speedup's ceiling: accesses
+  outside a batch run through the scalar epilogue.  The ``native``
+  engine steps every access in C, so its coverage is null.
+* The ``native`` engine times its C loop internally
   (``engine_stats["epilogue_ns"]``), so its cells also report the
-  batch-vs-epilogue wall-time split — where a cell's remaining time
-  goes once the epilogue is compiled.  The numpy engine's epilogue is
-  interleaved Python and not separately clocked, so its split is null.
+  split between time inside the loop (``epilogue_seconds``) and the
+  rest of the run (``batch_seconds``: plane build, boundary syncs,
+  set-up).  The numpy engine's epilogue is interleaved Python and not
+  separately clocked, so its split is null.
 
 The result is written to ``BENCH_backend.json``; the committed copy at
 the repository root is the baseline the CI backend-parity job compares

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.indexing import IndexFunction, PHTIndexScheme
 from repro.util.bitops import index_geometry, is_power_of_two
-from repro.util.lruset import LRUSet
+from repro.util.lruset import LRUSet, lru_sets
 
 __all__ = ["PHTConfig", "PatternHistoryTable"]
 
@@ -77,9 +77,7 @@ class PatternHistoryTable:
     def __init__(self, config: PHTConfig = PHTConfig()) -> None:
         self.config = config
         self._scheme = config.index_scheme
-        self._sets: List[LRUSet[int, List[int]]] = [
-            LRUSet(config.ways) for _ in range(config.sets)
-        ]
+        self._sets: List[LRUSet[int, List[int]]] = lru_sets(config.sets, config.ways)
         self.updates = 0
         self.lookups = 0
         self.hits = 0

@@ -42,7 +42,7 @@ from repro.prefetchers.base import (
     PrefetchRequest,
 )
 from repro.util.bitops import is_power_of_two, mask
-from repro.util.lruset import LRUSet
+from repro.util.lruset import LRUSet, lru_sets
 
 __all__ = ["DBCPConfig", "DeadBlockCorrelatingPrefetcher"]
 
@@ -79,9 +79,7 @@ class DeadBlockCorrelatingPrefetcher(Prefetcher):
         super().__init__("dbcp")
         self.config = config
         self._sig_mask = mask(config.signature_bits)
-        self._table: List[LRUSet[int, int]] = [
-            LRUSet(config.ways) for _ in range(config.sets)
-        ]
+        self._table: List[LRUSet[int, int]] = lru_sets(config.sets, config.ways)
         #: running signature of each resident L1 block, keyed by block number.
         self._live_signatures: Dict[int, int] = {}
         #: death signature waiting to learn its successor (set on

@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from repro.prefetchers.base import MissEvent, Prefetcher, PrefetchRequest
 from repro.util.bitops import is_power_of_two
-from repro.util.lruset import LRUSet
+from repro.util.lruset import LRUSet, lru_sets
 
 __all__ = ["MarkovConfig", "MarkovPrefetcher"]
 
@@ -68,9 +68,7 @@ class MarkovPrefetcher(Prefetcher):
     def __init__(self, config: MarkovConfig = MarkovConfig()) -> None:
         super().__init__("markov")
         self.config = config
-        self._sets: List[LRUSet[int, _MarkovEntry]] = [
-            LRUSet(config.ways) for _ in range(config.sets)
-        ]
+        self._sets: List[LRUSet[int, _MarkovEntry]] = lru_sets(config.sets, config.ways)
         self._previous_block: Optional[int] = None
 
     def _entry_for(self, block: int, create: bool) -> Optional[_MarkovEntry]:

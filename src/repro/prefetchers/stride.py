@@ -17,7 +17,7 @@ from typing import List
 
 from repro.prefetchers.base import MissEvent, Prefetcher, PrefetchRequest
 from repro.util.bitops import is_power_of_two
-from repro.util.lruset import LRUSet
+from repro.util.lruset import LRUSet, lru_sets
 
 __all__ = ["StrideConfig", "StridePrefetcher"]
 
@@ -58,9 +58,7 @@ class StridePrefetcher(Prefetcher):
     def __init__(self, config: StrideConfig = StrideConfig()) -> None:
         super().__init__("stride")
         self.config = config
-        self._sets: List[LRUSet[int, _RPTEntry]] = [
-            LRUSet(config.ways) for _ in range(config.sets)
-        ]
+        self._sets: List[LRUSet[int, _RPTEntry]] = lru_sets(config.sets, config.ways)
 
     def observe_miss(self, miss: MissEvent) -> List[PrefetchRequest]:
         self.stats.lookups += 1

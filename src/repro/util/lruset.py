@@ -15,12 +15,13 @@ used here.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
+import gc
+from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
 
-__all__ = ["LRUSet"]
+__all__ = ["LRUSet", "lru_sets"]
 
 
 class LRUSet(Generic[K, V]):
@@ -139,3 +140,20 @@ class LRUSet(Generic[K, V]):
     def clear(self) -> None:
         """Drop every entry."""
         self._entries.clear()
+
+
+def lru_sets(count: int, ways: int) -> List[LRUSet]:
+    """Build a table of ``count`` empty ``ways``-way sets.
+
+    The cyclic garbage collector is paused while the sets are built
+    and then restored to its prior state: a large table (TCP-8M's
+    262,144 sets) otherwise triggers a collection pass every few
+    hundred allocations, each walking every set built so far.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return [LRUSet(ways) for _ in range(count)]
+    finally:
+        if enabled:
+            gc.enable()

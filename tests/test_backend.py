@@ -46,7 +46,8 @@ from repro.engine.probes import ProgressProbe
 from repro.memory import MemoryHierarchy
 from repro.memory.address import CacheGeometry
 from repro.prefetchers.dbcp import DeadBlockCorrelatingPrefetcher
-from repro.sim import SimulationConfig, sanitizer as sanitizer_mod, simulate
+from repro.prefetchers.stride import StridePrefetcher
+from repro.sim import PREFETCHERS, SimulationConfig, sanitizer as sanitizer_mod, simulate
 from repro.sim.resilience import InvariantViolation
 from repro.sim.runner import clear_cache
 from repro.sim.sanitizer import schedule_state_corruption
@@ -367,6 +368,18 @@ class _HybridSubclass(HybridTCP):
     """A subclass may override the promotion gate."""
 
 
+class _StrideSubclass(StridePrefetcher):
+    """A subclass may override ``observe_miss``: this one counts calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def observe_miss(self, miss):
+        self.calls += 1
+        return super().observe_miss(miss)
+
+
 def _native_fallback_machine(case):
     """(config, machine) for a configuration the C engine cannot model."""
     config = SimulationConfig.for_prefetcher("tcp-8k")
@@ -385,6 +398,11 @@ def _native_fallback_machine(case):
     else:
         machine.attach_prefetcher(config.build_prefetcher())
     return config, machine
+
+
+def _require_native():
+    if native_build.load() is None:
+        pytest.skip(f"native extension unavailable ({native_build.load_error()})")
 
 
 #: configurations the C engine still sends to the reference loop.
@@ -418,10 +436,12 @@ class TestNativeFallbacks:
         assert result == ref
         assert machine.stats == ref_machine.stats
 
-    @pytest.mark.parametrize("label", ("dbcp-2m", "hybrid-8k"))
-    def test_dbcp_and_hybrid_run_compiled(self, label, monkeypatch):
-        """The paper's two main comparators take the C engine: no
-        fallback, no warning, the whole trace stepped in C."""
+    @pytest.mark.parametrize("label", sorted(PREFETCHERS))
+    def test_every_prefetcher_runs_compiled(self, label, monkeypatch):
+        """Every paper configuration takes the C engine: no fallback, no
+        warning, the whole trace stepped in C, and the prefetcher
+        trained in C (no ``observe_miss`` callback)."""
+        _require_native()
         monkeypatch.setattr(native_mod, "_WARNED_FALLBACKS", set())
         trace = generate("swim", Scale.QUICK)
         config = SimulationConfig.for_prefetcher(label)
@@ -430,15 +450,44 @@ class TestNativeFallbacks:
         backend = NativeBackend()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            backend.run(trace, machine, config.core)
+            result = backend.run(trace, machine, config.core)
         stats = backend.last_engine_stats
         assert "fallback" not in stats
         assert stats["scalar_accesses"] == len(trace)
-        assert stats["batched_accesses"] == 0
-        # DBCP and the hybrid train, evict and predict in C: the only
-        # Python re-entries left are on the instruction-fetch path.
+        # the only Python re-entries left are on the instruction-fetch
+        # path
         assert stats["callbacks_observe_miss"] == 0
         assert stats["callbacks_evict"] == 0
+        ref_machine = MemoryHierarchy(config.hierarchy)
+        ref_machine.attach_prefetcher(config.build_prefetcher())
+        ref = get_backend("python").run(trace, ref_machine, config.core)
+        assert result == ref
+        assert machine.stats == ref_machine.stats
+
+    def test_prefetcher_subclass_trains_through_the_callback(self, monkeypatch):
+        """C trains only the exact types it knows: a subclass (which may
+        override ``observe_miss``) still runs compiled, but trains
+        through the Python callback, bit-identically."""
+        _require_native()
+        monkeypatch.setattr(native_mod, "_WARNED_FALLBACKS", set())
+        trace = generate("swim", Scale.QUICK)
+        config = SimulationConfig.baseline()
+        results, machines = [], []
+        for name in ("python", "native"):
+            machine = MemoryHierarchy(config.hierarchy)
+            machine.attach_prefetcher(_StrideSubclass())
+            backend = get_backend(name)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                results.append(backend.run(trace, machine, config.core))
+            machines.append(machine)
+        stats = backend.last_engine_stats
+        assert "fallback" not in stats
+        assert stats["callbacks_observe_miss"] == machines[1].prefetcher.calls > 0
+        assert results[1] == results[0]
+        assert machines[1].stats == machines[0].stats
+        assert machines[1].prefetcher.stats == machines[0].prefetcher.stats
+        assert machines[0].stats.prefetches_issued > 0
 
     @pytest.mark.parametrize("label,numpy_reason", (
         ("dbcp-2m", "prefetcher observes the access stream"),
@@ -559,9 +608,9 @@ class TestNativeFallbacks:
         rebuilt = SimResult.from_dict(payload)
         assert rebuilt.backend_fallback == "direct-mapped L2"
         assert rebuilt == result
-        # the paper's DBCP and hybrid comparators run compiled
+        # every paper configuration runs compiled
         if native_build.load() is not None:
-            for label in ("dbcp-2m", "hybrid-8k"):
+            for label in PREFETCHERS:
                 compiled = simulate(
                     "swim",
                     dataclasses.replace(

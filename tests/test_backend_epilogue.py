@@ -32,12 +32,24 @@ from repro.backend.native import build as native_build
 from repro.core.hybrid import HybridTCP
 from repro.core.pht import PHTConfig
 from repro.core.tcp import TCPConfig, TagCorrelatingPrefetcher
+from repro.core.variants import (
+    ConfidenceFilteredTCP,
+    LookaheadTCP,
+    StrideFilteredTCP,
+)
 from repro.cpu.core import CoreParams
 from repro.deadblock import DeadBlockConfig
 from repro.engine.probes import Probe
 from repro.memory import MemoryHierarchy
 from repro.memory.hierarchy import HierarchyParams
 from repro.prefetchers.dbcp import DBCPConfig, DeadBlockCorrelatingPrefetcher
+from repro.prefetchers.markov import MarkovConfig, MarkovPrefetcher, _MarkovEntry
+from repro.prefetchers.stream import (
+    StreamBufferConfig,
+    StreamBufferPrefetcher,
+    _Stream,
+)
+from repro.prefetchers.stride import StrideConfig, StridePrefetcher, _RPTEntry
 from repro.sim.config import SimulationConfig
 from repro.workloads import Trace
 
@@ -271,38 +283,70 @@ def _lines(machine):
     ]
 
 
+def _table(sets, value=lambda v: v):
+    """A list of LRUSets as plain data, in recency order."""
+    return [[(k, value(v)) for k, v in lru.items()] for lru in sets]
+
+
+def _private_state(p):
+    """The Python-side tables and counters of every trainer C runs, as
+    plain data (copied: the live objects keep changing)."""
+    state = {}
+    if isinstance(p, DeadBlockCorrelatingPrefetcher):
+        state["table"] = _table(p._table)
+        state["live"] = list(p._live_signatures.items())
+        state["pending_death"] = p._pending_death_signature
+        state["dead_predictions"] = p.dead_predictions
+    if isinstance(p, StridePrefetcher):
+        state["rpt"] = _table(p._sets, lambda e: (e.last_block, e.stride, e.state))
+    if isinstance(p, StreamBufferPrefetcher):
+        state["streams"] = [
+            None if b is None else (b.next_block, b.last_use) for b in p._streams
+        ]
+    if isinstance(p, MarkovPrefetcher):
+        state["markov"] = _table(p._sets, lambda e: list(e.successors))
+        state["previous"] = p._previous_block
+    if isinstance(p, TagCorrelatingPrefetcher):
+        state["tht"] = list(p.tht._history)
+        state["pht"] = _table(p.pht._sets, list)
+        state["tcp_counts"] = (
+            p.tht.reads, p.tht.pushes, p.pht.updates, p.pht.lookups, p.pht.hits,
+        )
+    if isinstance(p, StrideFilteredTCP):
+        d = p.detector
+        state["detector"] = (list(d._state), d.observations, d.strided_hits)
+        state["stride_predictions"] = p.stride_predictions
+    if isinstance(p, ConfidenceFilteredTCP):
+        state["confidence"] = list(p._confidence.items())
+        state["suppressed"] = p.suppressed
+    if isinstance(p, HybridTCP):
+        d = p.deadblock
+        state["history"] = _table(d._history)
+        state["gate"] = (
+            p.promotions_approved, p.promotions_denied,
+            d.queries, d.dead_verdicts, d.evictions_recorded,
+        )
+    return state
+
+
 def _prefetcher_state(machine):
-    """Everything DBCP and the hybrid keep in Python, in dict order:
-    the native engine must leave the same objects behind."""
+    """Everything the prefetcher keeps in Python, in dict order: the
+    native engine must leave the same objects behind."""
     p = machine.prefetcher
     state = {
         "stats": vars(p.stats).copy(),
         "l1": _lines(machine),
         "pending_l1": list(machine._pending_l1.items()),
     }
-    if isinstance(p, DeadBlockCorrelatingPrefetcher):
-        state["table"] = [list(lru.items()) for lru in p._table]
-        state["live"] = list(p._live_signatures.items())
-        state["pending_death"] = p._pending_death_signature
-        state["dead_predictions"] = p.dead_predictions
-    if isinstance(p, HybridTCP):
-        d = p.deadblock
-        state["history"] = [list(lru.items()) for lru in d._history]
-        state["gate"] = (
-            p.promotions_approved, p.promotions_denied,
-            d.queries, d.dead_verdicts, d.evictions_recorded,
-        )
-        state["tht"] = list(p.tht._history)
-        state["pht"] = [list(lru.items()) for lru in p.pht._sets]
+    state.update(_private_state(p))
     return state
 
 
 class _Snapshots(Probe):
-    """Records the promotion plane and the prefetcher tables after every
-    access: a divergence the reference heals on the next access to the
-    same set still shows.  (A mark after every access also turns the
-    batch path off, so only the whole-trace engines are checked this
-    way; the epilogue tests above keep their batches.)"""
+    """Records the promotion plane and the prefetcher's tables and
+    counters after every access: a divergence the reference heals on
+    the next access to the same set still shows.  (A mark after every
+    access also turns the numpy batch path off.)"""
 
     interval = 1
 
@@ -311,20 +355,12 @@ class _Snapshots(Probe):
 
     def on_mark(self, mark, hierarchy):
         p = hierarchy.prefetcher
-        snap = [list(hierarchy._pending_l1.items()), hierarchy.stats.l1_promotions]
-        if isinstance(p, DeadBlockCorrelatingPrefetcher):
-            snap += [
-                list(p._live_signatures.items()),
-                [list(lru.items()) for lru in p._table],
-                p._pending_death_signature,
-            ]
-        if isinstance(p, HybridTCP):
-            snap += [
-                [list(lru.items()) for lru in p.deadblock._history],
-                p.promotions_approved,
-                p.promotions_denied,
-            ]
-        self.seen.append(snap)
+        self.seen.append((
+            list(hierarchy._pending_l1.items()),
+            hierarchy.stats.l1_promotions,
+            vars(p.stats).copy(),
+            _private_state(p),
+        ))
 
 
 def _state_parity(contender, trace, hierarchy_params, make_prefetcher,
@@ -656,22 +692,364 @@ class _TableRewrite(Probe):
             p._table[k % len(p._table)].put(k, (k << 10) | 3)
             p._live_signatures[(k << 10) | 7] = k
             p._pending_death_signature = k * 5
-        else:
+        elif isinstance(p, HybridTCP):
             hierarchy._pending_l1[k % 4] = ((k << 10) | (k % 4), mark.last_commit)
             history = p.deadblock._history
             history[k % len(history)].put((k << 10) | 1, float(k))
+        elif isinstance(p, StridePrefetcher):
+            entry = _RPTEntry(k << 10)
+            entry.stride, entry.state = k % 3 + 1, 2
+            p._sets[k % len(p._sets)].put(4 * (k % 16), entry)
+        elif isinstance(p, MarkovPrefetcher):
+            entry = _MarkovEntry()
+            entry.successors = [(k << 10) | 1]
+            p._sets[k % len(p._sets)].put(((k % 8) << 10) | (k % len(p._sets)), entry)
+            p._previous_block = ((k % 5) << 10) | 1
+        elif isinstance(p, StreamBufferPrefetcher):
+            p._streams[k % len(p._streams)] = _Stream(k << 10, mark.last_commit)
+        elif isinstance(p, StrideFilteredTCP):
+            p.detector._state[k % 4] = (k % 7, 1, 1)
+        elif isinstance(p, ConfidenceFilteredTCP):
+            p._confidence = dict(p._confidence)
+            p._confidence[(k % 16, k % 5)] = 3
+
+
+#: (hierarchy, prefetcher factory, trace) per prefetcher kind
+_RELOAD_CASES = {
+    "dbcp": lambda: (HierarchyParams(), _dbcp(4, 2), _set_trace(n_tags=8, n=3000, seed=31)),
+    "hybrid": lambda: (
+        HierarchyParams(dedicated_prefetch_bus=True), _hybrid(),
+        _cyclic_trace(3000, gap=20, seed=6),
+    ),
+    "stride": lambda: (HierarchyParams(), _stride(4, 2), _set_trace(8, 3000, seed=61)),
+    "markov": lambda: (HierarchyParams(), _markov(4, 4), _set_trace(5, 3000, seed=67)),
+    "stream": lambda: (
+        HierarchyParams(),
+        lambda: StreamBufferPrefetcher(StreamBufferConfig(buffers=4, depth=4)),
+        _block_trace(np.cumsum(np.tile([1, 2, 3, 500], 500)), np.zeros(2000)),
+    ),
+    "tcp-stride": lambda: (
+        HierarchyParams(), _tcp_variant(StrideFilteredTCP),
+        _sequence_trace([1, 2, 3, 4, 7], 3000),
+    ),
+    "tcp-conf": lambda: (
+        HierarchyParams(), _tcp_variant(ConfidenceFilteredTCP),
+        _sequence_trace([1, 3, 2, 5, 4], 3000, noise=0.2, seed=71),
+    ),
+}
 
 
 class TestBoundaryReload:
     @pytest.mark.parametrize("contender", CONTENDERS)
-    @pytest.mark.parametrize("kind", ("dbcp", "hybrid"))
+    @pytest.mark.parametrize("kind", tuple(_RELOAD_CASES))
     def test_probe_rewrites_are_observed(self, contender, kind):
         _require(contender)
-        if kind == "dbcp":
-            hp, make = HierarchyParams(), _dbcp(4, 2)
-            trace = _set_trace(n_tags=8, n=3000, seed=31)
-        else:
-            hp, make = HierarchyParams(dedicated_prefetch_bus=True), _hybrid()
-            trace = _cyclic_trace(3000, gap=20, seed=6)
+        hp, make, trace = _RELOAD_CASES[kind]()
         ref = _state_parity(contender, trace, hp, make, probes=lambda: [_TableRewrite()])
         assert ref.prefetcher.stats.lookups > 0
+
+
+# ----------------------------------------------------------------------
+# The other miss-stream trainers: RPT, stream buffers, Markov, and the
+# stride-filtered, confidence-filtered and look-ahead TCP variants
+# ----------------------------------------------------------------------
+
+
+def _block_trace(blocks, pcs, gap=4):
+    """One access per (block, pc) pair, in order."""
+    blocks = np.asarray(blocks, dtype=np.uint64)
+    return _trace(
+        blocks << np.uint64(5),
+        pcs=np.asarray(pcs, dtype=np.uint64),
+        gaps=np.full(len(blocks), gap, dtype=np.int64),
+    )
+
+
+def _sequence_trace(tags, n, sets=4, noise=0.0, seed=0, gap=4):
+    """Access j goes to L1 set ``j % sets`` with the next tag of
+    ``tags`` (cycled per set): each set walks the same tag sequence, so
+    every access is a conflict miss.  ``noise`` replaces that share of
+    the tags with random ones."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(n)
+    index = (j % sets).astype(np.uint64)
+    tag = np.asarray(tags, dtype=np.uint64)[(j // sets) % len(tags)]
+    noisy = rng.random(n) < noise
+    tag[noisy] = rng.integers(20, 40, int(noisy.sum())).astype(np.uint64)
+    addrs = (tag << np.uint64(15)) | (index << np.uint64(5))
+    return _trace(addrs, gaps=np.full(n, gap, dtype=np.int64))
+
+
+def _ledger(prefetcher, before):
+    """Count the events ``before(prefetcher, miss)`` names ahead of
+    each reference-run ``observe_miss`` call."""
+    counts = Counter()
+    observe_miss = prefetcher.observe_miss
+
+    def _observe_miss(miss):
+        for event in before(prefetcher, miss) or ():
+            counts[event] += 1
+        return observe_miss(miss)
+
+    prefetcher.observe_miss = _observe_miss
+    return counts
+
+
+def _reference_with(hp, make_prefetcher, before):
+    machine = MemoryHierarchy(hp)
+    prefetcher = make_prefetcher()
+    counts = _ledger(prefetcher, before)
+    machine.attach_prefetcher(prefetcher)
+    return machine, counts
+
+
+def _stride(sets=1, ways=2, lookahead=2):
+    return lambda: StridePrefetcher(
+        StrideConfig(sets=sets, ways=ways, lookahead=lookahead)
+    )
+
+
+def _rpt_events(prefetcher, miss):
+    cfg = prefetcher.config
+    lru = prefetcher._sets[(miss.pc >> 2) & (cfg.sets - 1)]
+    entry = lru.peek(miss.pc)
+    if entry is None:
+        return ["evict"] if len(lru) >= lru.ways else []
+    stride = miss.block - entry.last_block
+    steady = entry.state == 2 and stride == entry.stride and stride
+    if steady and any(
+        miss.block + stride * step <= 0 for step in range(1, cfg.lookahead + 1)
+    ):
+        return ["filtered"]
+    return []
+
+
+class TestStrideEdges:
+    """The flat RPT against the LRUSet reference."""
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_rpt_evicts_at_way_limit(self, contender):
+        _require(contender)
+        rng = np.random.default_rng(41)
+        n = 2000
+        pcs = rng.choice(np.arange(6) * 4, n, p=[0.3, 0.3, 0.1, 0.1, 0.1, 0.1])
+        counts = Counter()
+        blocks = []
+        for pc in pcs:
+            counts[pc] += 1
+            blocks.append(4096 * (pc + 1) + (pc // 4 + 1) * counts[pc])
+        trace = _block_trace(blocks, pcs)
+        hp = HierarchyParams()
+        ref, events = _reference_with(hp, _stride(1, 2), _rpt_events)
+        _state_parity(contender, trace, hp, _stride(1, 2), ref)
+        assert events["evict"] > 0
+        assert ref.prefetcher.stats.predictions > 0
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_negative_stride_near_block_zero(self, contender):
+        """A descending stream reaching block 0: targets at or below 0
+        are dropped while ``predictions`` still counts the look-ahead."""
+        _require(contender)
+        down = [12, 9, 6, 3, 0]
+        blocks, pcs = [], []
+        for _ in range(40):
+            blocks += down + [1024 + b for b in down]  # the second half evicts
+            pcs += [4] * 5 + [8] * 5
+        trace = _block_trace(blocks, pcs)
+        hp = HierarchyParams()
+        make = _stride(4, 2, lookahead=2)
+        ref, events = _reference_with(hp, make, _rpt_events)
+        _state_parity(contender, trace, hp, make, ref)
+        assert events["filtered"] > 0
+        assert ref.stats.prefetches_requested < ref.prefetcher.stats.predictions
+
+
+class _StreamTie(Probe):
+    """Every third mark, rewrite the stream buffers far from the trace
+    with one shared ``last_use`` (and, on odd rewrites, an empty slot):
+    the next allocation must take the first empty slot, else the first
+    of the tied buffers."""
+
+    interval = 1
+
+    def __init__(self):
+        self.marks = 0
+
+    def on_mark(self, mark, hierarchy):
+        self.marks += 1
+        if self.marks % 3:
+            return
+        p = hierarchy.prefetcher
+        streams = [_Stream(10**6 + 100 * k, 1.0) for k in range(len(p._streams))]
+        if self.marks % 2:
+            streams[len(streams) // 2] = None
+        p._streams = streams
+
+
+def _stream_events(prefetcher, miss):
+    streams = prefetcher._streams
+    depth = prefetcher.config.depth
+    if any(s is not None and 0 <= miss.block - s.next_block < depth for s in streams):
+        return ["window-hit"]
+    uses = [s.last_use for s in streams if s is not None]
+    if None not in streams and uses.count(min(uses)) > 1:
+        return ["tie"]
+    return []
+
+
+class TestStreamEdges:
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_window_hit_and_tied_allocation(self, contender):
+        _require(contender)
+        rng = np.random.default_rng(43)
+        n = 1500
+        # forward runs that skip ahead inside the window, plus jumps
+        steps = rng.choice([1, 2, 3, 500], n, p=[0.4, 0.3, 0.2, 0.1])
+        blocks = np.cumsum(steps)
+        trace = _block_trace(blocks, np.zeros(n))
+        hp = HierarchyParams()
+
+        def make():
+            return StreamBufferPrefetcher(StreamBufferConfig(buffers=4, depth=4))
+
+        ref, events = _reference_with(hp, make, _stream_events)
+        _state_parity(
+            contender, trace, hp, make, ref, probes=lambda: [_StreamTie()]
+        )
+        assert events["window-hit"] > 0
+        assert events["tie"] > 0
+
+
+class _PreviousIsNext(Probe):
+    """Every third mark, set the Markov previous block to the block of
+    the next access: if it misses, learning must be skipped."""
+
+    interval = 1
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.marks = 0
+
+    def on_mark(self, mark, hierarchy):
+        self.marks += 1
+        if self.marks % 3 == 0 and mark.done < len(self.blocks):
+            hierarchy.prefetcher._previous_block = int(self.blocks[mark.done])
+
+
+def _markov(sets=4, ways=2, targets=2):
+    return lambda: MarkovPrefetcher(
+        MarkovConfig(sets=sets, ways=ways, targets=targets)
+    )
+
+
+def _markov_events(prefetcher, miss):
+    previous = prefetcher._previous_block
+    if previous is None:
+        return []
+    if previous == miss.block:
+        return ["self-successor"]
+    cfg = prefetcher.config
+    entry = prefetcher._sets[previous & (cfg.sets - 1)].peek(previous)
+    if entry is not None and miss.block in entry.successors[1:]:
+        return ["reorder"]
+    return []
+
+
+class TestMarkovEdges:
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_self_successor_skips_learning(self, contender):
+        _require(contender)
+        trace = _set_trace(n_tags=6, n=1500, sets=2, seed=47)
+        blocks = (trace.addrs >> np.uint64(5)).astype(np.int64)
+        hp = HierarchyParams()
+        ref, events = _reference_with(hp, _markov(), _markov_events)
+        _state_parity(
+            contender, trace, hp, _markov(), ref,
+            probes=lambda: [_PreviousIsNext(blocks)],
+        )
+        assert events["self-successor"] > 0
+        assert ref.prefetcher.stats.predictions > 0
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    @pytest.mark.parametrize("targets", (2, 3))
+    def test_multi_target_reordering(self, contender, targets):
+        _require(contender)
+        trace = _set_trace(n_tags=5, n=3000, sets=4, seed=53)
+        hp = HierarchyParams()
+        make = _markov(4, 4, targets)
+        ref, events = _reference_with(hp, make, _markov_events)
+        _state_parity(contender, trace, hp, make, ref)
+        assert events["reorder"] > 0
+        assert all(len(lru) == lru.ways for lru in ref.prefetcher._sets)
+
+
+def _tcp_variant(cls, **kwargs):
+    def make():
+        pht = PHTConfig(sets=16, ways=4, miss_index_bits=0)
+        return cls(TCPConfig(pht=pht), **kwargs)
+
+    return make
+
+
+class TestTCPVariantEdges:
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_stride_tcp_negative_prediction(self, contender):
+        """Per-set tags 4, 2, 0 confirm a stride of -2 whose next tag
+        is negative: the THT is pushed, nothing is issued."""
+        _require(contender)
+        trace = _sequence_trace([4, 2, 0], 1200)
+        make = _tcp_variant(StrideFilteredTCP)
+        ref = _state_parity(contender, trace, HierarchyParams(), make)
+        p = ref.prefetcher
+        assert p.detector.strided_hits > p.stride_predictions
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_stride_break_hands_back_to_the_pht(self, contender):
+        _require(contender)
+        trace = _sequence_trace([1, 2, 3, 4, 7], 3000)
+        make = _tcp_variant(StrideFilteredTCP)
+        ref = _state_parity(contender, trace, HierarchyParams(), make)
+        p = ref.prefetcher
+        assert p.stride_predictions > 0
+        assert p.pht.updates > 0 and p.pht.hits > 0
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_confidence_saturates_and_suppresses(self, contender):
+        _require(contender)
+        trace = _sequence_trace([1, 3, 2, 5, 4], 4000, noise=0.2, seed=59)
+        make = _tcp_variant(ConfidenceFilteredTCP)
+        ref = _state_parity(contender, trace, HierarchyParams(), make)
+        p = ref.prefetcher
+        assert max(p._confidence.values()) == p.maximum
+        assert p.suppressed > 0
+        assert p.stats.predictions > 0
+
+    @pytest.mark.parametrize("contender", CONTENDERS)
+    def test_lookahead_chain_closes_on_itself(self, contender):
+        _require(contender)
+        trace = _sequence_trace([1, 2], 2000)
+        hp = HierarchyParams()
+        make = _tcp_variant(LookaheadTCP, degree=3)
+        reference = make()
+        closed = Counter()
+        predict, observe_miss = reference.pht.predict, reference.observe_miss
+        calls = []
+
+        def _predict(sequence, index):
+            calls.append(predict(sequence, index))
+            return calls[-1]
+
+        def _observe_miss(miss):
+            calls.clear()
+            requests = observe_miss(miss)
+            if len(calls) == len(requests) + 1 and calls[-1] is not None:
+                closed["closed"] += 1
+            return requests
+
+        reference.pht.predict = _predict
+        reference.observe_miss = _observe_miss
+        ref = MemoryHierarchy(hp)
+        ref.attach_prefetcher(reference)
+        _state_parity(contender, trace, hp, make, ref)
+        assert closed["closed"] > 0
+        assert reference.stats.predictions > 0

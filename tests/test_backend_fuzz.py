@@ -32,12 +32,13 @@ from repro.sim import SimulationConfig, simulate
 from repro.sim.runner import clear_cache
 from repro.workloads import BENCHMARK_ORDER, Scale, Trace
 
-#: prefetcher labels the fuzz cycles through — the batched path
-#: (none/nextline/tcp-8k) plus the two whole-trace C ports: DBCP's
-#: access-stream signatures (dbcp-2m) and the hybrid's gated L1
-#: promotions (hybrid-8k), which numpy still delegates to the
-#: reference loop.
-FUZZ_LABELS = ("none", "nextline", "tcp-8k", "dbcp-2m", "hybrid-8k")
+#: prefetcher labels the fuzz cycles through: every ``PREFETCHERS``
+#: entry, each with its own C trainer on the native backend (numpy
+#: delegates DBCP and the hybrid to the reference loop).
+FUZZ_LABELS = (
+    "none", "nextline", "stride", "stream", "markov", "dbcp-2m", "tcp-8k",
+    "tcp-8m", "hybrid-8k", "tcp-stride", "tcp-multi2", "tcp-conf", "tcp-look2",
+)
 
 #: the oracle grid: the paper's headline configurations.
 ORACLE_LABELS = ("none", "nextline", "tcp-8k", "tcp-8m", "dbcp-2m", "hybrid-8k")
